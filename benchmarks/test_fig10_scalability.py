@@ -100,8 +100,9 @@ def test_fast_engine_speedup():
     """The fast engine must stay meaningfully faster than the reference.
 
     Best-of-two per engine (the minimum is the standard noise-robust
-    wall-clock estimator on shared machines); fast runs first so its
-    one-time schedule-template solve is included in its own budget.
+    wall-clock estimator on shared machines); fast runs first, so the
+    one-time schedule solves, which the memo then shares with the
+    reference runs, are charged to the fast engine.
     """
     fast = min(_grid_seconds("fast") for _ in range(2))
     ref = min(_grid_seconds("reference") for _ in range(2))

@@ -183,8 +183,3 @@ def threshold_decode(window_means: Sequence[float]) -> Tuple[int, ...]:
         # Flat signal: the channel carries nothing; decode everything as 0.
         return tuple(0 for _ in window_means)
     return tuple(1 if m > threshold else 0 for m in window_means)
-
-
-#: Backwards-compatible aliases for the pre-promotion private names.
-_window_latency_means = window_latency_means
-_threshold_decode = threshold_decode

@@ -217,7 +217,7 @@ def _template_cache_case(
     accesses: int, cores: int, seed: int
 ) -> List[BenchMetric]:
     from .sim.config import SystemConfig
-    from .sim.fastpath import clear_caches, template_cache_stats
+    from .core.schedule import clear_caches, template_cache_stats
     from .sim.runner import run_scheme
     from .workloads.spec import suite_specs
 

@@ -105,6 +105,12 @@ class ControllerStats:
 class MemoryController(abc.ABC):
     """Base class: request queues, command log, release plumbing."""
 
+    #: Issue through :meth:`~repro.dram.channel.Channel.issue_trusted`,
+    #: skipping per-command JEDEC re-validation.  Only for controllers
+    #: whose command stream was proved legal offline (the FS timetables);
+    #: logging, the online monitor and telemetry still see every command.
+    trusted_issue = False
+
     def __init__(
         self,
         dram: DramSystem,
@@ -221,7 +227,11 @@ class MemoryController(abc.ABC):
 
     def _issue(self, command: Command) -> Optional[int]:
         """Issue a command to its channel, with optional logging."""
-        data_start = self.dram.channels[command.channel].issue(command)
+        channel = self.dram.channels[command.channel]
+        if self.trusted_issue:
+            data_start = channel.issue_trusted(command)
+        else:
+            data_start = channel.issue(command)
         if self.log_commands:
             self.command_log.append(command)
         if self.monitor is not None:

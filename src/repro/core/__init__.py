@@ -5,11 +5,13 @@ Contents:
 * :mod:`~repro.core.pipeline_solver` — offline constraint solving for the
   minimal conflict-free slot gap (Sections 3-4 equations).
 * :mod:`~repro.core.schedule` — concrete slot timetables (Figures 1-2),
-  including triple alternation and reordered bank partitioning, plus an
-  independent validator.
+  including triple alternation and reordered bank partitioning, an
+  independent validator, and the process-wide schedule memo both
+  engines build through.
 * :mod:`~repro.core.shaping` — per-domain shaping: hazard tracking and
   dummy generation.
-* :mod:`~repro.core.fs_controller` — the FS controller.
+* :mod:`~repro.core.fs_controller` — the FS controller and the base
+  class both FS controllers share (queues, staged commands, slot loop).
 * :mod:`~repro.core.fs_reordered` — reordered bank partitioning.
 * :mod:`~repro.core.energy_opts` — the Section 5.2 energy optimizations.
 * :mod:`~repro.core.online_monitor` — streaming runtime verification of

@@ -13,11 +13,15 @@ The same class covers the paper's FS_RP (rank partitioning), the basic
 bank-partitioned and no-partitioning pipelines, and the triple-alternation
 optimization (whose bank restrictions ride in on the schedule's
 :attr:`~repro.core.schedule.SlotSpec.bank_mod`).  Reordered bank
-partitioning lives in :mod:`repro.core.fs_reordered`.
+partitioning lives in :mod:`repro.core.fs_reordered`; both controllers
+build on :class:`FsControllerBase`, which owns the per-domain state, the
+staged-command heap and the one loop that interleaves timetable
+decisions with staged commands.
 """
 
 from __future__ import annotations
 
+import abc
 import heapq
 import itertools
 from collections import OrderedDict
@@ -25,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..controllers.base import MemoryController
 from ..dram.commands import (
-    Address,
     Command,
     CommandType,
     OpType,
@@ -38,7 +41,7 @@ from ..faults import FaultInjector, FaultKind
 from ..mapping.partition import PartitionPolicy
 from .energy_opts import EnergyAdjustments, FsEnergyOptions
 from .pipeline_solver import SharingLevel
-from .schedule import CommandTimes, FixedServiceSchedule, SlotSpec
+from .schedule import FixedServiceSchedule, SlotSpec
 from .shaping import DomainHazardTracker, DummyGenerator
 
 
@@ -76,12 +79,163 @@ class PrefetchBuffer:
         return self.hits / self.fills
 
 
-class FixedServiceController(MemoryController):
-    """FS scheduling over a validated slot timetable."""
+def service_code(request: Request) -> str:
+    """The service-trace letter of a dispatched transaction."""
+    kind = request.kind
+    if kind is RequestKind.DEMAND:
+        return "R" if request.is_read else "W"
+    if kind is RequestKind.PREFETCH:
+        return "P"
+    return "D"
+
+
+class FsControllerBase(MemoryController):
+    """What every FS controller shares.
+
+    Per-domain queues, self-hazard trackers and dummy streams; the
+    staged-command heap; and :meth:`_work`, the single loop that takes
+    timetable decisions and staged commands in time order.  Subclasses
+    give the timetable as :meth:`_decide_cycle`, a closed form of the
+    decision index (a slot, or a whole interval), and serve decision
+    ``g`` in :meth:`_decide`.
+    """
 
     #: How deep to scan a domain's queue for a legal transaction when the
     #: head is blocked by one of the domain's own hazards.
     SCAN_DEPTH = 8
+
+    def __init__(
+        self,
+        dram: DramSystem,
+        num_domains: int,
+        partition: PartitionPolicy,
+        channel: int,
+        energy_options: Optional[FsEnergyOptions],
+        log_commands: bool,
+        fault_injector: Optional[FaultInjector],
+    ) -> None:
+        super().__init__(dram, num_domains, log_commands)
+        if channel >= dram.num_channels:
+            raise ValueError("channel out of range")
+        self.partition = partition
+        self.channel_id = channel
+        self.energy_options = energy_options or FsEnergyOptions.none()
+        self.adjustments = EnergyAdjustments()
+        #: Optional fault-injection oracle; every predicate it answers is
+        #: a pure function of (seed, domain, the domain's own progress),
+        #: so faults cannot carry information between domains.
+        self.fault_injector = fault_injector
+        self._queues: Dict[int, List[Request]] = {
+            d: [] for d in range(num_domains)
+        }
+        self._hazards: Dict[int, DomainHazardTracker] = {
+            d: DomainHazardTracker(dram.params)
+            for d in range(num_domains)
+        }
+        self._dummies: Dict[int, DummyGenerator] = {
+            d: DummyGenerator(d, partition, channel)
+            for d in range(num_domains)
+        }
+        #: Staged commands, applied to the channel in time order.
+        self._staged: List[Tuple[int, int, Command]] = []
+        self._stage_seq = itertools.count()
+        self._last_issued_key: Optional[Tuple] = None
+        #: Index of the next undecided slot (or interval).
+        self._next_decision = 0
+
+    @abc.abstractmethod
+    def _decide_cycle(self, g: int) -> int:
+        """Cycle at which decision ``g`` is taken."""
+
+    @abc.abstractmethod
+    def _decide(self, g: int) -> None:
+        """Serve decision ``g``: pick, dispatch and stage its commands."""
+
+    # ------------------------------------------------------------------
+    # MemoryController interface.
+    # ------------------------------------------------------------------
+
+    def enqueue(self, request: Request) -> None:
+        if request.address.channel != self.channel_id:
+            raise ValueError("request routed to the wrong FS channel")
+        self._admit(request)
+
+    def _admit(self, request: Request) -> None:
+        self._queues[request.domain].append(request)
+        if self.fault_injector is not None:
+            # Transient queue-overflow faults are armed per actual
+            # enqueue, i.e. per position in the domain's own stream.
+            self.fault_injector.note_enqueue(
+                request.domain, request.arrival
+            )
+
+    def pending(self, domain: Optional[int] = None) -> int:
+        if domain is not None:
+            return len(self._queues[domain])
+        return sum(map(len, self._queues.values()))
+
+    def next_event(self) -> Optional[int]:
+        """FS always has a next decision; report the sooner of it, the
+        next staged command, and the next release."""
+        candidates = [self._decide_cycle(self._next_decision)]
+        if self._staged:
+            candidates.append(self._staged[0][0])
+        if self._release_heap:
+            candidates.append(self._release_heap[0][0])
+        return max(self.now + 1, min(candidates))
+
+    def busy(self) -> bool:
+        """Outstanding *demand* work; dummy slots alone never count (the
+        FS pipeline ticks forever, but there is nothing left to wait for)."""
+        return bool(
+            self._release_heap or any(self._queues.values())
+        )
+
+    def _work(self, until: int) -> None:
+        staged = self._staged
+        # Without a fault injector no duplicate is ever staged, so the
+        # duplicate-command guard below would be a no-op.
+        guard = self.fault_injector is not None
+        # The decide cycle only changes when a decision is taken.
+        decide_at = self._decide_cycle(self._next_decision)
+        while True:
+            staged_at = staged[0][0] if staged else None
+            if decide_at <= until and (
+                staged_at is None or decide_at <= staged_at
+            ):
+                self._decide(self._next_decision)
+                self._next_decision += 1
+                decide_at = self._decide_cycle(self._next_decision)
+                continue
+            if staged_at is not None and staged_at <= until:
+                _, _, command = heapq.heappop(staged)
+                if guard:
+                    key = (
+                        command.type, command.cycle, command.channel,
+                        command.rank, command.bank, command.row,
+                    )
+                    if key == self._last_issued_key:
+                        # Issue-path guard: a duplicated command (fault
+                        # model ``duplicate_command``) is squashed before
+                        # it can collide on the command bus or disturb
+                        # bank state.
+                        self.stats.squashed_duplicates += 1
+                        continue
+                    self._last_issued_key = key
+                self._issue(command)
+                continue
+            break
+        self.dram.channels[self.channel_id].prune(self.now)
+
+    def _stage(self, command: Command) -> None:
+        heapq.heappush(
+            self._staged, (command.cycle, next(self._stage_seq), command)
+        )
+
+
+class FixedServiceController(FsControllerBase):
+    """FS scheduling over a validated slot timetable."""
+
     #: Latency (cycles) of returning a read that hits the prefetch buffer.
     PREFETCH_HIT_LATENCY = 5
     #: Per-domain transaction-queue capacity (Section 5.1: "the FS
@@ -101,45 +255,32 @@ class FixedServiceController(MemoryController):
         log_commands: bool = False,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
-        super().__init__(dram, schedule.num_domains, log_commands)
-        if channel >= dram.num_channels:
-            raise ValueError("channel out of range")
+        super().__init__(
+            dram, schedule.num_domains, partition, channel,
+            energy_options, log_commands, fault_injector,
+        )
         self.schedule = schedule
-        self.partition = partition
-        self.channel_id = channel
-        self.energy_options = energy_options or FsEnergyOptions.none()
-        self.adjustments = EnergyAdjustments()
         self.prefetchers = prefetchers or {}
         self.prefetch_buffers: Dict[int, PrefetchBuffer] = {
             d: PrefetchBuffer() for d in range(self.num_domains)
-        }
-        self._queues: Dict[int, List[Request]] = {
-            d: [] for d in range(self.num_domains)
-        }
-        self._hazards: Dict[int, DomainHazardTracker] = {
-            d: DomainHazardTracker(dram.params)
-            for d in range(self.num_domains)
-        }
-        self._dummies: Dict[int, DummyGenerator] = {
-            d: DummyGenerator(d, partition, channel)
-            for d in range(self.num_domains)
         }
         #: Last (bank-key -> row) serviced per domain, for the row-buffer
         #: energy boost.
         self._last_row: Dict[int, Dict[Tuple[int, int], int]] = {
             d: {} for d in range(self.num_domains)
         }
-        #: Staged commands, applied to the channel in time order.
-        self._staged: List[Tuple[int, int, Command]] = []
-        self._stage_seq = itertools.count()
-        self._next_slot = 0
-        #: Optional fault-injection oracle; every predicate it answers is
-        #: a pure function of (seed, domain, the domain's own progress),
-        #: so faults cannot carry information between domains.
-        self.fault_injector = fault_injector
-        self._last_issued_key: Optional[Tuple] = None
-        # Decisions must lead the earliest possible command of a slot.
-        self._decision_lead = self._earliest_command_offset()
+        #: Domain -> its slot positions within one interval.
+        self._domain_slot_pos: Dict[int, List[int]] = {
+            d: [i for i, s in enumerate(schedule.slots) if s.domain == d]
+            for d in range(self.num_domains)
+        }
+        # release_horizon memo: between driver stops with no slot
+        # decided and no enqueue, the per-domain queue emptiness — the
+        # only other input — cannot have changed (dequeues happen only
+        # inside slot decisions, which bump ``_next_decision``).
+        self._rh_key = (-1, -1)
+        self._rh_value: Optional[int] = None
+        self._enq_count = 0
         self.refresh = refresh
         #: Domain -> ranks it owns on this channel (refresh suppression).
         self._domain_ranks: Dict[int, Tuple[int, ...]] = {
@@ -164,11 +305,6 @@ class FixedServiceController(MemoryController):
         self.stat_refreshes = 0
 
     # ------------------------------------------------------------------
-
-    def _earliest_command_offset(self) -> int:
-        read = self.schedule.command_times(0, True)
-        write = self.schedule.command_times(0, False)
-        return min(read.first, write.first)
 
     def _free_command_residues(self) -> List[int]:
         """Cycle residues (mod the slot gap) no FS command ever uses.
@@ -208,7 +344,7 @@ class FixedServiceController(MemoryController):
         p = self.params
         l = self.schedule.slot_gap
         guard_pre = p.write_turnaround_same_bank + l
-        guard_post = p.tRFC + (-self._decision_lead) + l
+        guard_post = p.tRFC + (-self.schedule.decision_lead) + l
         window = self.refresh.next_refresh(
             rank, max(0, anchor - guard_post + 1)
         )
@@ -243,8 +379,48 @@ class FixedServiceController(MemoryController):
         return interval, spec, self.schedule.anchor(interval, spec)
 
     def _decide_cycle(self, g: int) -> int:
-        _, _, anchor = self._slot_geometry(g)
-        return anchor + self._decision_lead
+        schedule = self.schedule
+        interval, idx = divmod(g, len(schedule.decide_base))
+        return interval * schedule.interval_length + \
+            schedule.decide_base[idx]
+
+    def release_horizon(self) -> Optional[int]:
+        """Earliest cycle a *new* core release could be created.
+
+        The fast driver only needs to stop where a completion might
+        unblock a core.  Releases already scheduled are covered by
+        ``drain_deadline``; a new one can only come from a demand read
+        served at a future slot of a domain that has queued work, which
+        cannot complete before that domain's next own slot's read-data
+        burst ends (write-forward and prefetch-hit releases are created
+        at enqueue time).  Returns ``None`` under fault injection (the
+        deliberately-broken borrow-foreign-slot recovery can complete a
+        *pending* domain's request inside an idle domain's slot, which
+        this bound does not cover) — the driver then falls back to
+        ``next_event`` granularity.
+        """
+        if self.fault_injector is not None:
+            return None
+        g0 = self._next_decision
+        key = (g0, self._enq_count)
+        if key == self._rh_key:
+            return self._rh_value
+        schedule = self.schedule
+        length = schedule.interval_length
+        rb = schedule.release_base
+        interval, off = divmod(g0, len(rb))
+        base = interval * length
+        best: Optional[int] = None
+        for d, queue in self._queues.items():
+            if not queue:
+                continue
+            for pos in self._domain_slot_pos[d]:
+                t = rb[pos] + (base if pos >= off else base + length)
+                if best is None or t < best:
+                    best = t
+        self._rh_key = key
+        self._rh_value = best
+        return best
 
     # ------------------------------------------------------------------
     # MemoryController interface.
@@ -253,6 +429,7 @@ class FixedServiceController(MemoryController):
     def enqueue(self, request: Request) -> None:
         if request.address.channel != self.channel_id:
             raise ValueError("request routed to the wrong FS channel")
+        self._enq_count += 1
         if request.is_read:
             # Store-to-load bypass within the domain's own transaction
             # queue, "just as in a baseline transaction queue" (Section
@@ -276,18 +453,7 @@ class FixedServiceController(MemoryController):
                 request, request.arrival + self.PREFETCH_HIT_LATENCY
             )
             return
-        self._queues[request.domain].append(request)
-        if self.fault_injector is not None:
-            # Transient queue-overflow faults are armed per actual
-            # enqueue, i.e. per position in the domain's own stream.
-            self.fault_injector.note_enqueue(
-                request.domain, request.arrival
-            )
-
-    def pending(self, domain: Optional[int] = None) -> int:
-        if domain is not None:
-            return len(self._queues[domain])
-        return sum(map(len, self._queues.values()))
+        self._admit(request)
 
     def can_accept(self, domain: int) -> bool:
         """Back-pressure is a pure function of the domain's own queue
@@ -301,61 +467,19 @@ class FixedServiceController(MemoryController):
             )
         return len(self._queues[domain]) < capacity
 
-    def next_event(self) -> Optional[int]:
-        """FS always has a next slot; report the sooner of the next slot
-        decision, the next staged command, and the next release."""
-        candidates = [self._decide_cycle(self._next_slot)]
-        if self._staged:
-            candidates.append(self._staged[0][0])
-        if self._release_heap:
-            candidates.append(self._release_heap[0][0])
-        return max(self.now + 1, min(candidates))
-
-    def busy(self) -> bool:
-        """Outstanding *demand* work; dummy slots alone never count (the
-        FS pipeline ticks forever, but there is nothing left to wait for)."""
-        return bool(
-            self._release_heap or any(self._queues.values())
-        )
-
     def _work(self, until: int) -> None:
         if self.refresh is not None and self.refresh.enabled:
             self._pump_refreshes(until + self.schedule.interval_length)
-        while True:
-            decide_at = self._decide_cycle(self._next_slot)
-            staged_at = self._staged[0][0] if self._staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_slot(self._next_slot)
-                self._next_slot += 1
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(self._staged)
-                key = (
-                    command.type, command.cycle, command.channel,
-                    command.rank, command.bank, command.row,
-                )
-                if key == self._last_issued_key:
-                    # Issue-path guard: a duplicated command (fault model
-                    # ``duplicate_command``) is squashed before it can
-                    # collide on the command bus or disturb bank state.
-                    self.stats.squashed_duplicates += 1
-                    continue
-                self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
+        super()._work(until)
 
     # ------------------------------------------------------------------
     # Slot decisions.
     # ------------------------------------------------------------------
 
-    def _decide_slot(self, g: int) -> None:
+    def _decide(self, g: int) -> None:
         interval, spec, anchor = self._slot_geometry(g)
         domain = spec.domain
-        decide_at = anchor + self._decision_lead
+        decide_at = anchor + self.schedule.decision_lead
         if self.refresh is not None and self.refresh.enabled:
             if any(
                 self._refresh_blackout(rk, anchor)
@@ -508,7 +632,7 @@ class FixedServiceController(MemoryController):
         pdn = anchor + p.tBURST
         while not on_residue(pdn, pdn_residue):
             pdn += 1
-        pup = next_anchor + self._decision_lead - p.tXP - 1
+        pup = next_anchor + self.schedule.decision_lead - p.tXP - 1
         while not on_residue(pup, pup_residue):
             pup -= 1
         if pup - pdn < p.tCKE + p.tXP:
@@ -665,14 +789,7 @@ class FixedServiceController(MemoryController):
         request.data_start = times.data
         request.completion = times.data + self.params.tBURST
         self.stats.record_service(request)
-        kind = request.kind
-        if kind is RequestKind.DEMAND:
-            kind_code = "R" if request.is_read else "W"
-        elif kind is RequestKind.PREFETCH:
-            kind_code = "P"
-        else:
-            kind_code = "D"
-        self._trace(domain, anchor, kind_code)
+        self._trace(domain, anchor, service_code(request))
 
         if request.kind is RequestKind.PREFETCH:
             self.prefetch_buffers[domain].fill(request.line)
@@ -684,8 +801,3 @@ class FixedServiceController(MemoryController):
                 prefetcher.observe(request.line)
             if request.is_read:
                 self._schedule_release(request, request.completion)
-
-    def _stage(self, command: Command) -> None:
-        heapq.heappush(
-            self._staged, (command.cycle, next(self._stage_seq), command)
-        )

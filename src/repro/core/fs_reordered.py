@@ -15,11 +15,8 @@ its own queue.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Dict, List, Optional, Tuple
 
-from ..controllers.base import MemoryController
 from ..dram.commands import (
     Command,
     CommandType,
@@ -30,16 +27,14 @@ from ..dram.commands import (
 from ..dram.system import DramSystem
 from ..faults import FaultInjector, FaultKind
 from ..mapping.partition import PartitionPolicy
-from .energy_opts import EnergyAdjustments, FsEnergyOptions
+from .energy_opts import FsEnergyOptions
+from .fs_controller import FsControllerBase, service_code
 from .schedule import CommandTimes, ReorderedBpGeometry, \
     build_reordered_bp_geometry
-from .shaping import DomainHazardTracker, DummyGenerator
 
 
-class ReorderedBpController(MemoryController):
+class ReorderedBpController(FsControllerBase):
     """Interval-batched FS: reads first, writes after, en-masse release."""
-
-    SCAN_DEPTH = 8
 
     def __init__(
         self,
@@ -52,32 +47,16 @@ class ReorderedBpController(MemoryController):
         log_commands: bool = False,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
-        super().__init__(dram, num_domains, log_commands)
-        self.partition = partition
-        self.channel_id = channel
+        super().__init__(
+            dram, num_domains, partition, channel, energy_options,
+            log_commands, fault_injector,
+        )
         self.geometry = geometry or build_reordered_bp_geometry(
             dram.params, num_domains
         )
         if self.geometry.num_domains != num_domains:
             raise ValueError("geometry domain count mismatch")
-        self.energy_options = energy_options or FsEnergyOptions.none()
-        self.adjustments = EnergyAdjustments()
-        self._queues: Dict[int, List[Request]] = {
-            d: [] for d in range(num_domains)
-        }
-        self._hazards: Dict[int, DomainHazardTracker] = {
-            d: DomainHazardTracker(dram.params) for d in range(num_domains)
-        }
-        self._dummies: Dict[int, DummyGenerator] = {
-            d: DummyGenerator(d, partition, channel)
-            for d in range(num_domains)
-        }
-        self._staged: List[Tuple[int, int, Command]] = []
-        self._stage_seq = itertools.count()
         self._times_memo: Dict[Tuple[int, bool], CommandTimes] = {}
-        self._next_interval = 0
-        self.fault_injector = fault_injector
-        self._last_issued_key: Optional[Tuple] = None
         # The earliest command of an interval precedes its first data
         # burst by tRCD + tCAS (a read activate).
         self._lead = dram.params.tRCD + max(
@@ -91,68 +70,32 @@ class ReorderedBpController(MemoryController):
         return self._lead + index * self.geometry.interval_length
 
     def _decide_cycle(self, index: int) -> int:
-        return self.interval_start(index) - self._lead
+        return index * self.geometry.interval_length
 
-    # ------------------------------------------------------------------
+    def release_horizon(self) -> Optional[int]:
+        """Earliest cycle a *new* core release could be created.
 
-    def enqueue(self, request: Request) -> None:
-        if request.address.channel != self.channel_id:
-            raise ValueError("request routed to the wrong FS channel")
-        self._queues[request.domain].append(request)
+        Every demand read served in interval ``i`` is released en masse
+        at that interval's last data end — a pure function of ``i`` —
+        and undecided intervals start at ``self._next_decision``, so no
+        future dispatch can release before the next interval's release
+        point.  Releases from already-decided intervals sit in the
+        release heap and are covered by ``drain_deadline``.  ``None``
+        under fault injection (``drop_command`` re-queues a demand and
+        ``delay_slot`` shifts service, both at reference granularity).
+        """
         if self.fault_injector is not None:
-            self.fault_injector.note_enqueue(
-                request.domain, request.arrival
-            )
-
-    def pending(self, domain: Optional[int] = None) -> int:
-        if domain is not None:
-            return len(self._queues[domain])
-        return sum(map(len, self._queues.values()))
-
-    def next_event(self) -> Optional[int]:
-        candidates = [self._decide_cycle(self._next_interval)]
-        if self._staged:
-            candidates.append(self._staged[0][0])
-        if self._release_heap:
-            candidates.append(self._release_heap[0][0])
-        return max(self.now + 1, min(candidates))
-
-    def busy(self) -> bool:
-        """Outstanding *demand* work; dummy intervals alone do not count."""
-        return bool(
-            self._release_heap or any(self._queues.values())
+            return None
+        g = self.geometry
+        return (
+            self.interval_start(self._next_decision)
+            + (g.num_domains - 1) * g.data_gap
+            + self.params.tBURST
         )
 
-    def _work(self, until: int) -> None:
-        while True:
-            decide_at = self._decide_cycle(self._next_interval)
-            staged_at = self._staged[0][0] if self._staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_interval(self._next_interval)
-                self._next_interval += 1
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(self._staged)
-                key = (
-                    command.type, command.cycle, command.channel,
-                    command.rank, command.bank, command.row,
-                )
-                if key == self._last_issued_key:
-                    # Squash duplicated commands before they reach the
-                    # bus (fault model ``duplicate_command``).
-                    self.stats.squashed_duplicates += 1
-                    continue
-                self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
-
     # ------------------------------------------------------------------
 
-    def _decide_interval(self, index: int) -> None:
+    def _decide(self, index: int) -> None:
         start = self.interval_start(index)
         decide_at = self._decide_cycle(index)
         picks: List[Request] = []
@@ -316,20 +259,8 @@ class ReorderedBpController(MemoryController):
         request.data_start = times.data
         request.completion = times.data + self.params.tBURST
         self.stats.record_service(request)
-        kind = request.kind
-        if kind is RequestKind.DEMAND:
-            kind_code = "R" if request.is_read else "W"
-        elif kind is RequestKind.PREFETCH:
-            kind_code = "P"
-        else:
-            kind_code = "D"
         # The trace records the *interval*, not the slot position: slot
         # positions depend on co-runners' read/write mix, intervals do not.
-        self._trace(domain, release_at, kind_code)
+        self._trace(domain, release_at, service_code(request))
         if request.kind is RequestKind.DEMAND and request.is_read:
             self._schedule_release(request, release_at)
-
-    def _stage(self, command: Command) -> None:
-        heapq.heappush(
-            self._staged, (command.cycle, next(self._stage_seq), command)
-        )

@@ -93,14 +93,30 @@ class FixedServiceSchedule:
         self.interval_length = interval_length
         self.sharing = sharing
         self.name = name
-        # Shift so that the earliest command of interval 0 is >= cycle 0.
         read_t = slot_timing(params, mode, True)
         write_t = slot_timing(params, mode, False)
-        earliest_rel = min(
+        self._read_rel = (read_t.act, read_t.col, read_t.data)
+        self._write_rel = (write_t.act, write_t.col, write_t.data)
+        #: Offset of a slot's earliest possible command from its anchor:
+        #: a slot is decided this far ahead of the anchor (negative).
+        self.decision_lead = min(
             read_t.act, read_t.col, write_t.act, write_t.col
         )
+        # Shift so that the earliest command of interval 0 is >= cycle 0.
         self.lead = max(0, -(min(s.anchor_offset for s in slots)
-                             + earliest_rel))
+                             + self.decision_lead))
+        # Interval-0 tables; slot ``g`` of interval ``i`` adds
+        # ``i * interval_length`` to entry ``g % slots_per_interval``.
+        #: Decision cycle of each slot.
+        self.decide_base = tuple(
+            self.anchor(0, s) + self.decision_lead for s in self.slots
+        )
+        #: End of the read-data burst each slot would produce: the
+        #: earliest release a demand read served there can have.
+        self.release_base = tuple(
+            self.anchor(0, s) + read_t.data + params.tBURST
+            for s in self.slots
+        )
 
     # ------------------------------------------------------------------
 
@@ -120,10 +136,9 @@ class FixedServiceSchedule:
     def command_times(self, anchor: int, is_read: bool) -> CommandTimes:
         """Absolute ACT/column/data cycles for a transaction anchored at
         ``anchor``."""
-        rel = slot_timing(self.params, self.mode, is_read)
-        return CommandTimes(
-            act=anchor + rel.act, col=anchor + rel.col, data=anchor + rel.data
-        )
+        act, col, data = self._read_rel if is_read else self._write_rel
+        return CommandTimes(act=anchor + act, col=anchor + col,
+                            data=anchor + data)
 
     def iter_slots(self, start_interval: int = 0
                    ) -> Iterator[Tuple[int, SlotSpec]]:
@@ -263,6 +278,66 @@ def build_triple_alternation_schedule(
         sharing=SharingLevel.NONE,
         name="fs_np_triple",
     )
+
+
+# ----------------------------------------------------------------------
+# Process-wide memo: solve each timetable once.
+# ----------------------------------------------------------------------
+
+#: Solved timetables keyed on (kind, params, num_domains, extras...).
+#: Schedules are never mutated after construction, so runs share them.
+_SCHEDULE_CACHE: Dict[Tuple, FixedServiceSchedule] = {}
+#: Lookup counters, exported as volatile metrics by the engine profiler.
+_CACHE_STATS = {"hits": 0, "misses": 0}
+
+
+def _memoized(key: Tuple, build) -> FixedServiceSchedule:
+    schedule = _SCHEDULE_CACHE.get(key)
+    if schedule is None:
+        _CACHE_STATS["misses"] += 1
+        schedule = _SCHEDULE_CACHE[key] = build()
+    else:
+        _CACHE_STATS["hits"] += 1
+    return schedule
+
+
+def cached_fs_schedule(
+    params: TimingParams,
+    num_domains: int,
+    sharing: SharingLevel,
+    mode: Optional[PeriodicMode] = None,
+    slots_per_domain: int = 1,
+) -> FixedServiceSchedule:
+    """Memoized :func:`build_fs_schedule`: the pipeline solver runs once
+    per ``(timing, domains, sharing, ...)`` key, not once per run."""
+    return _memoized(
+        ("fs", params, num_domains, sharing, mode, slots_per_domain),
+        lambda: build_fs_schedule(
+            params, num_domains, sharing, mode=mode,
+            slots_per_domain=slots_per_domain,
+        ),
+    )
+
+
+def cached_triple_alternation_schedule(
+    params: TimingParams, num_domains: int
+) -> FixedServiceSchedule:
+    """Memoized :func:`build_triple_alternation_schedule`."""
+    return _memoized(
+        ("ta", params, num_domains),
+        lambda: build_triple_alternation_schedule(params, num_domains),
+    )
+
+
+def template_cache_stats() -> Dict[str, int]:
+    """Hit/miss counts of the process-wide schedule memo."""
+    return dict(_CACHE_STATS)
+
+
+def clear_caches() -> None:
+    """Drop the schedule memo and zero its counters (test isolation)."""
+    _SCHEDULE_CACHE.clear()
+    _CACHE_STATS.update(hits=0, misses=0)
 
 
 @dataclass(frozen=True)

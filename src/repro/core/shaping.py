@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..dram.commands import Address
 from ..dram.timing import TimingParams
@@ -119,6 +119,8 @@ class DummyGenerator:
         self._resources = resources
         self._rows = rows
         self._cursor = 0
+        #: bank_mod -> the resources in that bank class.
+        self._allowed: Dict[Optional[int], List[Tuple[int, int, int]]] = {}
         self._state = (domain * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
 
     def _next_row(self) -> int:
@@ -131,19 +133,28 @@ class DummyGenerator:
 
     def candidates(
         self, bank_mod: Optional[int] = None, limit: int = 8
-    ) -> List[Address]:
-        """Up to ``limit`` dummy addresses, rotating over allowed banks."""
-        allowed = [
-            (ch, rk, bk)
-            for ch, rk, bk in self._resources
-            if bank_mod is None or bk % 3 == bank_mod
-        ]
+    ) -> Iterator[Address]:
+        """Up to ``limit`` dummy addresses, rotating over allowed banks.
+
+        The row draw and the bank-cursor step happen at call time (one
+        of each per call, none when the class filter leaves no bank);
+        the addresses are built as the caller iterates, because the
+        first is almost always legal.
+        """
+        allowed = self._allowed.get(bank_mod)
+        if allowed is None:
+            allowed = self._allowed[bank_mod] = [
+                (ch, rk, bk)
+                for ch, rk, bk in self._resources
+                if bank_mod is None or bk % 3 == bank_mod
+            ]
         if not allowed:
-            return []
-        out: List[Address] = []
+            return iter(())
         row = self._next_row()
-        for i in range(min(limit, len(allowed))):
-            ch, rk, bk = allowed[(self._cursor + i) % len(allowed)]
-            out.append(Address(ch, rk, bk, row, 0))
-        self._cursor = (self._cursor + 1) % len(allowed)
-        return out
+        cursor = self._cursor
+        n = len(allowed)
+        self._cursor = (cursor + 1) % n
+        return (
+            Address(*allowed[(cursor + i) % n], row, 0)
+            for i in range(min(limit, n))
+        )

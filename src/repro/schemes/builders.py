@@ -188,22 +188,13 @@ def _build_tp(spec, config, partition, options, injector, engine):
 def _build_fs(spec, config, partition, options, injector, engine):
     """Fixed Service with a solved periodic timetable at the spec's
     sharing level (rank / bank / none partitioning, Sections 4-5)."""
-    from ..core.schedule import build_fs_schedule
+    from ..core.schedule import cached_fs_schedule
 
-    sharing = spec.sharing_level()
     n = config.num_cores
-    if engine == "fast":
-        from ..sim import fastpath
-
-        schedule = fastpath.cached_fs_schedule(
-            config.timing, n, sharing,
-            slots_per_domain=options.slots_per_domain,
-        )
-    else:
-        schedule = build_fs_schedule(
-            config.timing, n, sharing,
-            slots_per_domain=options.slots_per_domain,
-        )
+    schedule = cached_fs_schedule(
+        config.timing, n, spec.sharing_level(),
+        slots_per_domain=options.slots_per_domain,
+    )
     prefetchers = None
     if spec.supports_prefetch and options.prefetch:
         from ..prefetch.sandbox import SandboxPrefetcher
@@ -224,17 +215,11 @@ def _build_fs(spec, config, partition, options, injector, engine):
 def _build_fs_ta(spec, config, partition, options, injector, engine):
     """Fixed Service, triple alternation: rotating bank-class masks,
     no OS partitioning support needed (Section 6)."""
-    from ..core.schedule import build_triple_alternation_schedule
+    from ..core.schedule import cached_triple_alternation_schedule
 
-    n = config.num_cores
-    if engine == "fast":
-        from ..sim import fastpath
-
-        schedule = fastpath.cached_triple_alternation_schedule(
-            config.timing, n
-        )
-    else:
-        schedule = build_triple_alternation_schedule(config.timing, n)
+    schedule = cached_triple_alternation_schedule(
+        config.timing, config.num_cores
+    )
     cls = spec.controller_class(engine)
     return cls(
         _dram_for(config), schedule, partition,

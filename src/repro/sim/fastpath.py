@@ -11,19 +11,18 @@ were proved offline.  This module exploits that determinism:
 * :class:`FastSystem` — an event-horizon driver that advances the
   controller in one stride per *demand-side* event (request arrival or
   earliest pending release) instead of one stride per internal
-  controller event, with batched stat accumulation per stride.
-* :func:`cached_fs_schedule` / :func:`cached_triple_alternation_schedule`
-  — a per-scheme command-template cache keyed on
-  ``(scheme kind, timing params, num_domains, ...)``: pipeline solving
-  and slot-timing derivation run once per process, not once per run.
-* :class:`TemplatedSchedule` — memoizes the per-mode command-time
-  offsets so ``command_times`` is two integer adds, not a re-derivation.
+  controller event, with batched stat accumulation per stride.  FS
+  controllers bound the next possible new release in closed form
+  (``release_horizon``), so the driver strides over dummy-slot
+  decisions too.
 * trusted issue — the FS command stream was validated offline (pipeline
   solver + :func:`repro.core.schedule.validate_schedule`), so the fast
-  FS controllers apply commands through
+  FS controllers set ``trusted_issue`` and apply commands through
   :meth:`repro.dram.channel.Channel.issue_trusted`, skipping the
   per-command JEDEC re-validation and bus-reservation bookkeeping while
-  keeping every observable state update bit-identical.
+  keeping every observable state update bit-identical.  That flag is
+  all they add: the memoized timetable, its decide/release tables and
+  the slot loop live in :mod:`repro.core` and serve both engines.
 * :class:`FastFrFcfsController` / :class:`FastTpController` — the
   non-fixed schedulers keep full validation (their schedules are *not*
   precomputed) but cache scheduling candidates between decisions, with
@@ -65,17 +64,10 @@ from ..controllers.frfcfs import FrFcfsController, _Candidate
 from ..controllers.tp import TemporalPartitioningController
 from ..core.fs_controller import FixedServiceController
 from ..core.fs_reordered import ReorderedBpController
-from ..core.pipeline_solver import PeriodicMode, SharingLevel, slot_timing
-from ..core.schedule import (
-    CommandTimes,
-    FixedServiceSchedule,
-    build_fs_schedule,
-    build_triple_alternation_schedule,
-)
-from ..core.shaping import DummyGenerator
+# Re-exported: perfbench/run.py reads the schedule-memo counters here.
+from ..core.schedule import template_cache_stats
 from ..cpu.core_model import Core
-from ..dram.commands import Address, Command, CommandType, Request, \
-    RequestKind
+from ..dram.commands import Command, CommandType, Request, RequestKind
 from ..errors import SimTimeoutError
 from .multichannel import MultiChannelFsController
 from .system import RunResult, System
@@ -83,414 +75,27 @@ from .system import RunResult, System
 _INF = float("inf")
 
 # ----------------------------------------------------------------------
-# Command-template caches.
-# ----------------------------------------------------------------------
-
-#: (params, mode) -> (read offsets, write offsets); immutable values.
-_REL_CACHE: Dict[Tuple, Tuple] = {}
-#: Schedule cache keyed on (kind, params, num_domains, extras...).
-_SCHEDULE_CACHE: Dict[Tuple, "TemplatedSchedule"] = {}
-#: Process-global schedule-template cache effectiveness counters,
-#: exported (as volatile metrics) by the engine profiler.
-_TEMPLATE_HITS = 0
-_TEMPLATE_MISSES = 0
-
-
-def template_cache_stats() -> Dict[str, int]:
-    """Hit/miss counts for the process-global schedule-template cache."""
-    return {"hits": _TEMPLATE_HITS, "misses": _TEMPLATE_MISSES}
-
-
-def clear_caches() -> None:
-    """Drop the schedule/template caches (test isolation helper)."""
-    global _TEMPLATE_HITS, _TEMPLATE_MISSES
-    _REL_CACHE.clear()
-    _SCHEDULE_CACHE.clear()
-    _TEMPLATE_HITS = 0
-    _TEMPLATE_MISSES = 0
-
-
-def _rel_times(params, mode) -> Tuple:
-    key = (params, mode)
-    rel = _REL_CACHE.get(key)
-    if rel is None:
-        rel = (slot_timing(params, mode, True),
-               slot_timing(params, mode, False))
-        _REL_CACHE[key] = rel
-    return rel
-
-
-class TemplatedSchedule(FixedServiceSchedule):
-    """A :class:`FixedServiceSchedule` with memoized command offsets.
-
-    ``command_times`` on the base class re-derives the slot timing from
-    the pipeline mode on every call; here it is two integer adds against
-    offsets computed once per ``(params, mode)``.  All schedule fields
-    (including the derived ``lead``) are identical to the wrapped
-    schedule, so the timetable — and therefore every command cycle — is
-    bit-identical.
-    """
-
-    def __init__(self, base: FixedServiceSchedule) -> None:
-        super().__init__(
-            params=base.params,
-            mode=base.mode,
-            slot_gap=base.slot_gap,
-            num_domains=base.num_domains,
-            slots=base.slots,
-            interval_length=base.interval_length,
-            sharing=base.sharing,
-            name=base.name,
-        )
-        assert self.lead == base.lead  # lead is a pure function of fields
-        self._rel_read, self._rel_write = _rel_times(
-            base.params, base.mode
-        )
-
-    def command_times(self, anchor: int, is_read: bool) -> CommandTimes:
-        rel = self._rel_read if is_read else self._rel_write
-        return CommandTimes(
-            act=anchor + rel.act,
-            col=anchor + rel.col,
-            data=anchor + rel.data,
-        )
-
-
-def cached_fs_schedule(
-    params,
-    num_domains: int,
-    sharing: SharingLevel,
-    mode: Optional[PeriodicMode] = None,
-    slots_per_domain: int = 1,
-) -> TemplatedSchedule:
-    """Memoized :func:`~repro.core.schedule.build_fs_schedule`.
-
-    Schedules are immutable, so reusing one across runs is safe; the
-    pipeline solver then runs once per ``(scheme, timing, domains)``
-    triple instead of once per simulation.
-    """
-    global _TEMPLATE_HITS, _TEMPLATE_MISSES
-    key = ("fs", params, num_domains, sharing, mode, slots_per_domain)
-    schedule = _SCHEDULE_CACHE.get(key)
-    if schedule is None:
-        _TEMPLATE_MISSES += 1
-        schedule = TemplatedSchedule(build_fs_schedule(
-            params, num_domains, sharing, mode=mode,
-            slots_per_domain=slots_per_domain,
-        ))
-        _SCHEDULE_CACHE[key] = schedule
-    else:
-        _TEMPLATE_HITS += 1
-    return schedule
-
-
-def cached_triple_alternation_schedule(
-    params, num_domains: int
-) -> TemplatedSchedule:
-    """Memoized :func:`~repro.core.schedule
-    .build_triple_alternation_schedule`."""
-    global _TEMPLATE_HITS, _TEMPLATE_MISSES
-    key = ("ta", params, num_domains)
-    schedule = _SCHEDULE_CACHE.get(key)
-    if schedule is None:
-        _TEMPLATE_MISSES += 1
-        schedule = TemplatedSchedule(
-            build_triple_alternation_schedule(params, num_domains)
-        )
-        _SCHEDULE_CACHE[key] = schedule
-    else:
-        _TEMPLATE_HITS += 1
-    return schedule
-
-
-# ----------------------------------------------------------------------
-# Fast dummy generation.
-# ----------------------------------------------------------------------
-
-
-class FastDummyGenerator(DummyGenerator):
-    """Bit-identical dummy stream with lazy address construction.
-
-    The reference generator materializes up to eight
-    :class:`~repro.dram.commands.Address` objects per call although the
-    first is almost always legal.  This variant advances the xorshift
-    state and the bank cursor *exactly* like the reference (one row draw
-    and one cursor step per call, none when the class filter empties the
-    bank set) but yields addresses on demand.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._allowed_cache: Dict[Optional[int], List[Tuple]] = {}
-
-    def _allowed(self, bank_mod: Optional[int]) -> List[Tuple]:
-        allowed = self._allowed_cache.get(bank_mod)
-        if allowed is None:
-            allowed = [
-                (ch, rk, bk)
-                for ch, rk, bk in self._resources
-                if bank_mod is None or bk % 3 == bank_mod
-            ]
-            self._allowed_cache[bank_mod] = allowed
-        return allowed
-
-    def candidates(self, bank_mod: Optional[int] = None, limit: int = 8):
-        allowed = self._allowed(bank_mod)
-        if not allowed:
-            return []
-        row = self._next_row()
-        cursor = self._cursor
-        self._cursor = (cursor + 1) % len(allowed)
-        count = min(limit, len(allowed))
-
-        def lazy():
-            for i in range(count):
-                ch, rk, bk = allowed[(cursor + i) % len(allowed)]
-                yield Address(ch, rk, bk, row, 0)
-
-        return lazy()
-
-
-# ----------------------------------------------------------------------
 # Fast Fixed Service controllers (trusted issue).
 # ----------------------------------------------------------------------
 
 
-class _TrustedIssueMixin:
-    """Issue pre-validated commands via the unchecked channel path.
+class FastFixedServiceController(FixedServiceController):
+    """FS controller issuing through the unchecked channel path."""
 
-    Logging and the online invariant monitor keep observing every
-    command, so ``log_commands`` / ``OnlineInvariantMonitor`` behave
-    exactly as in the reference engine.
-    """
-
-    def _issue(self, command: Command) -> Optional[int]:
-        data_start = self.dram.channels[command.channel].issue_trusted(
-            command
-        )
-        if self.log_commands:
-            self.command_log.append(command)
-        if self.monitor is not None:
-            self.monitor.observe_command(command)
-        if self.telemetry is not None:
-            self.telemetry.on_command(self, command)
-        return data_start
+    trusted_issue = True
 
 
-class FastFixedServiceController(_TrustedIssueMixin,
-                                 FixedServiceController):
-    """FS controller over a templated timetable with trusted issue."""
+class FastReorderedBpController(ReorderedBpController):
+    """Reordered-BP controller issuing through the unchecked channel
+    path."""
 
-    def __init__(self, dram, schedule, partition, *args, **kwargs) -> None:
-        if not isinstance(schedule, TemplatedSchedule):
-            schedule = TemplatedSchedule(schedule)
-        super().__init__(dram, schedule, partition, *args, **kwargs)
-        self._dummies = {
-            d: FastDummyGenerator(d, partition, self.channel_id)
-            for d in range(self.num_domains)
-        }
-        # Precomputed decide-cycle table: decide(g) for global slot g is
-        # interval * Q + base[g % slots_per_interval].
-        self._decide_base = [
-            self.schedule.anchor(0, spec) + self._decision_lead
-            for spec in self.schedule.slots
-        ]
-        self._nslots = len(self.schedule.slots)
-        # Per-domain slot positions within one interval, and the
-        # earliest *demand-read* release cycle each slot could produce
-        # (only read dispatches schedule core releases; write-forward
-        # and prefetch-hit releases are created at enqueue time and are
-        # covered by ``drain_deadline`` from the next driver stop).
-        self._domain_slot_pos = {
-            d: [
-                i for i, s in enumerate(self.schedule.slots)
-                if s.domain == d
-            ]
-            for d in range(self.num_domains)
-        }
-        self._release_base = [
-            self.schedule.command_times(
-                self.schedule.anchor(0, spec), True
-            ).data + self.params.tBURST
-            for spec in self.schedule.slots
-        ]
-        # release_horizon memo: between driver stops with no slot
-        # decided and no enqueue, the per-domain queue emptiness — the
-        # only other input — cannot have changed (dequeues happen only
-        # inside slot decisions, which bump ``_next_slot``).
-        self._rh_key = (-1, -1)
-        self._rh_value: Optional[int] = None
-        self._enq_count = 0
-
-    def enqueue(self, request: Request) -> None:
-        self._enq_count += 1
-        super().enqueue(request)
-
-    def _decide_cycle(self, g: int) -> int:
-        interval, idx = divmod(g, len(self._decide_base))
-        return interval * self.schedule.interval_length + \
-            self._decide_base[idx]
-
-    def _work(self, until: int) -> None:
-        """Reference loop with the per-iteration slot-geometry lookup
-        hoisted (the decide cycle only changes when a slot is decided)
-        and the duplicate-command guard skipped when no fault injector
-        is armed — without one no duplicate can ever be staged, so the
-        guard is a provable no-op."""
-        if self.refresh is not None and self.refresh.enabled:
-            self._pump_refreshes(until + self.schedule.interval_length)
-        staged = self._staged
-        fast_issue = self.fault_injector is None
-        decide_at = self._decide_cycle(self._next_slot)
-        while True:
-            staged_at = staged[0][0] if staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_slot(self._next_slot)
-                self._next_slot += 1
-                decide_at = self._decide_cycle(self._next_slot)
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(staged)
-                if not fast_issue:
-                    key = (
-                        command.type, command.cycle, command.channel,
-                        command.rank, command.bank, command.row,
-                    )
-                    if key == self._last_issued_key:
-                        self.stats.squashed_duplicates += 1
-                        continue
-                    self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
-
-    def release_horizon(self) -> Optional[int]:
-        """Earliest cycle a *new* core release could be created.
-
-        The fast driver only needs to stop where a completion might
-        unblock a core.  Releases already scheduled are covered by
-        ``drain_deadline``; a new one can only come from a demand read
-        served at a future slot of a domain that has queued work, which
-        cannot complete before that domain's next own slot's read-data
-        burst ends.  Returns ``None`` under fault injection (the
-        deliberately-broken borrow-foreign-slot recovery can complete a
-        *pending* domain's request inside an idle domain's slot, which
-        this bound does not cover) — the driver then falls back to
-        ``next_event`` granularity.
-        """
-        if self.fault_injector is not None:
-            return None
-        g0 = self._next_slot
-        key = (g0, self._enq_count)
-        if key == self._rh_key:
-            return self._rh_value
-        length = self.schedule.interval_length
-        interval, off = divmod(g0, self._nslots)
-        base = interval * length
-        best: Optional[int] = None
-        rb = self._release_base
-        for d, queue in self._queues.items():
-            if not queue:
-                continue
-            for pos in self._domain_slot_pos[d]:
-                t = rb[pos] + (base if pos >= off else base + length)
-                if best is None or t < best:
-                    best = t
-        self._rh_key = key
-        self._rh_value = best
-        return best
-
-
-class FastReorderedBpController(_TrustedIssueMixin, ReorderedBpController):
-    """Reordered-BP controller with trusted issue and lazy dummies."""
-
-    def __init__(self, dram, partition, num_domains, *args,
-                 **kwargs) -> None:
-        super().__init__(dram, partition, num_domains, *args, **kwargs)
-        self._dummies = {
-            d: FastDummyGenerator(d, partition, self.channel_id)
-            for d in range(num_domains)
-        }
-
-    def release_horizon(self) -> Optional[int]:
-        """Earliest cycle a *new* core release could be created.
-
-        Every demand read served in interval ``i`` is released en masse
-        at that interval's last data end — a pure function of ``i`` —
-        and undecided intervals start at ``self._next_interval``, so no
-        future dispatch can release before the next interval's release
-        point.  Releases from already-decided intervals sit in the
-        release heap and are covered by ``drain_deadline``.  ``None``
-        under fault injection (``drop_command`` re-queues a demand and
-        ``delay_slot`` shifts service, both at reference granularity).
-        """
-        if self.fault_injector is not None:
-            return None
-        g = self.geometry
-        return (
-            self.interval_start(self._next_interval)
-            + (g.num_domains - 1) * g.data_gap
-            + self.params.tBURST
-        )
-
-    def _work(self, until: int) -> None:
-        """Reference loop with the decide cycle tracked incrementally
-        (``decide(i) == i * interval_length`` exactly) and the
-        duplicate-command guard skipped when no fault injector is armed
-        (without one no duplicate can ever be staged)."""
-        staged = self._staged
-        fast_issue = self.fault_injector is None
-        length = self.geometry.interval_length
-        decide_at = self._next_interval * length
-        while True:
-            staged_at = staged[0][0] if staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_interval(self._next_interval)
-                self._next_interval += 1
-                decide_at += length
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(staged)
-                if not fast_issue:
-                    key = (
-                        command.type, command.cycle, command.channel,
-                        command.rank, command.bank, command.row,
-                    )
-                    if key == self._last_issued_key:
-                        self.stats.squashed_duplicates += 1
-                        continue
-                    self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
+    trusted_issue = True
 
 
 class FastMultiChannelFsController(MultiChannelFsController):
-    """Multi-channel composition over fast per-channel FS controllers."""
+    """Multi-channel composition over trusted-issue FS controllers."""
 
     SUB_CONTROLLER = FastFixedServiceController
-
-    def _sub_schedule(self, params, num_domains: int):
-        return cached_fs_schedule(params, num_domains, SharingLevel.RANK)
-
-    def release_horizon(self) -> Optional[int]:
-        """Earliest new-release bound across channels (see the
-        single-channel docstring); ``None`` forces the driver back to
-        ``next_event`` granularity when any sub-controller is faulted."""
-        best: Optional[int] = None
-        for controller in self._sub.values():
-            if controller.fault_injector is not None:
-                return None
-            horizon = controller.release_horizon()
-            if horizon is not None and (best is None or horizon < best):
-                best = horizon
-        return best
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,13 @@ share nothing at all.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from ..controllers.base import MemoryController
+from ..controllers.base import ControllerStats, MemoryController
 from ..core.fs_controller import FixedServiceController
 from ..core.pipeline_solver import SharingLevel
-from ..core.schedule import build_fs_schedule
+from ..core.schedule import cached_fs_schedule
 from ..dram.commands import Request
 from ..dram.system import DramSystem
 from ..errors import ConfigError
@@ -61,8 +62,8 @@ class _ChannelLocalPartition(PartitionPolicy):
 class MultiChannelFsController(MemoryController):
     """One FS_RP controller per channel, composed behind one interface."""
 
-    #: Per-channel controller class; the fast-path engine overrides this
-    #: (:mod:`repro.sim.fastpath`) to slot in its trusted-issue subclass.
+    #: Per-channel controller class; the fast engine's subclass
+    #: (:mod:`repro.sim.fastpath`) slots in its trusted-issue controller.
     SUB_CONTROLLER = FixedServiceController
 
     def __init__(
@@ -86,7 +87,9 @@ class MultiChannelFsController(MemoryController):
         self._sub: Dict[int, FixedServiceController] = {}
         self._local_id: Dict[int, Tuple[int, int]] = {}
         for channel, domains in sorted(by_channel.items()):
-            schedule = self._sub_schedule(dram.params, len(domains))
+            schedule = cached_fs_schedule(
+                dram.params, len(domains), SharingLevel.RANK
+            )
             view = _ChannelLocalPartition(partition, channel, domains)
             controller = self.SUB_CONTROLLER(
                 dram, schedule, view, channel=channel,
@@ -95,10 +98,6 @@ class MultiChannelFsController(MemoryController):
             self._sub[channel] = controller
             for local, global_id in enumerate(domains):
                 self._local_id[global_id] = (channel, local)
-
-    def _sub_schedule(self, params, num_domains: int):
-        """Build the per-channel FS timetable (overridable for caching)."""
-        return build_fs_schedule(params, num_domains, SharingLevel.RANK)
 
     # ------------------------------------------------------------------
 
@@ -138,6 +137,20 @@ class MultiChannelFsController(MemoryController):
     def busy(self) -> bool:
         return any(c.busy() for c in self._sub.values())
 
+    def release_horizon(self) -> Optional[int]:
+        """Earliest new-release bound across channels (see
+        :meth:`FixedServiceController.release_horizon`); ``None`` forces
+        the fast driver back to ``next_event`` granularity when any
+        sub-controller is faulted."""
+        best: Optional[int] = None
+        for controller in self._sub.values():
+            if controller.fault_injector is not None:
+                return None
+            horizon = controller.release_horizon()
+            if horizon is not None and (best is None or horizon < best):
+                best = horizon
+        return best
+
     def advance(self, until: int):
         self.now = until
         released = []
@@ -173,6 +186,17 @@ class MultiChannelFsController(MemoryController):
     def service_trace(self, value) -> None:
         pass
 
+    def attach_monitor(self, monitor) -> None:
+        """Share one watchdog with every per-channel sub-controller.
+
+        The sub-controllers issue the commands, so each must observe
+        through the monitor.  The composite has no single timetable
+        (``schedule`` is absent), so only the JEDEC command checks run.
+        """
+        super().attach_monitor(monitor)
+        for controller in self._sub.values():
+            controller.attach_monitor(monitor)
+
     def attach_telemetry(self, session) -> None:
         """Fan the session out to every per-channel sub-controller.
 
@@ -190,9 +214,6 @@ class MultiChannelFsController(MemoryController):
                 controller, by_sub.get(channel, {})
             )
 
-    def finalize(self) -> None:
-        self.dram.finalize(self.now)
-
     @property
     def stats(self):
         """Combined ControllerStats across channels (sub-controllers do
@@ -203,21 +224,12 @@ class MultiChannelFsController(MemoryController):
     def stats(self, value) -> None:
         pass  # base-class __init__ assigns a placeholder
 
-    def aggregate_stats(self):
-        """Combined ControllerStats across channels."""
-        from ..controllers.base import ControllerStats
-
+    def aggregate_stats(self) -> ControllerStats:
+        """Combined ControllerStats across channels: every field is the
+        sum over the sub-controllers."""
         total = ControllerStats()
         for controller in self._sub.values():
-            s = controller.stats
-            total.demand_reads += s.demand_reads
-            total.demand_writes += s.demand_writes
-            total.prefetches += s.prefetches
-            total.dummies += s.dummies
-            total.suppressed_dummies += s.suppressed_dummies
-            total.row_hit_boosts += s.row_hit_boosts
-            total.read_latency_sum += s.read_latency_sum
-            total.read_count += s.read_count
-            total.bubbles += s.bubbles
-            total.blocked_slots += s.blocked_slots
+            for f in dataclasses.fields(ControllerStats):
+                setattr(total, f.name, getattr(total, f.name)
+                        + getattr(controller.stats, f.name))
         return total

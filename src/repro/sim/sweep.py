@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,7 +60,6 @@ from ..exec import (
     run_jobs,
     validate_workers,
 )
-from ..exec import worker_pool as _exec_worker_pool
 from ..schemes import REGISTRY
 from ..telemetry.log import get_logger
 from ..workloads.spec import suite_specs
@@ -125,23 +123,6 @@ def _weighted_ipc(ipcs: Sequence[float],
         if theirs > 0:
             total += mine / theirs
     return total
-
-
-def worker_pool(workers: int):
-    """Deprecated alias for :func:`repro.exec.worker_pool`.
-
-    The shared spawn-pool recipe moved to the execution substrate
-    (:mod:`repro.exec`) so that nothing outside :mod:`repro.sim` has to
-    import a sweep module to fan out work.  This thin re-export keeps
-    old call sites running; new code should import from
-    :mod:`repro.exec`.
-    """
-    warnings.warn(
-        "repro.sim.sweep.worker_pool is deprecated; import worker_pool "
-        "from repro.exec instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _exec_worker_pool(workers)
 
 
 # ----------------------------------------------------------------------

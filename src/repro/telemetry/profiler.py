@@ -3,8 +3,8 @@
 :class:`EngineProfiler` is the hook the cycle-skipping driver
 (:class:`repro.sim.fastpath.FastSystem`) reports into when profiling is
 enabled: per-stride horizon-jump sizes, total driver iterations,
-simulated cycles, and wall-clock time.  Combined with the fast path's
-process-global schedule-template cache counters it yields the three
+simulated cycles, and wall-clock time.  Combined with the process-global
+schedule-memo counters of :mod:`repro.core.schedule` it yields the
 numbers the ROADMAP's perf work steers by:
 
 * **events per second** — driver iterations / wall second (the fast
@@ -130,12 +130,13 @@ class EngineProfiler:
             "engine_cycles_per_second",
             "simulated cycles per wall second", volatile=True,
         ).set(round(self.cycles_per_second, 3))
-        # Template-cache effectiveness (process-global counters owned by
-        # repro.sim.fastpath; volatile because the cache outlives runs —
-        # the hit rate depends on what ran earlier in the process).
-        from ..sim import fastpath
+        # Schedule-memo effectiveness (process-global counters owned by
+        # repro.core.schedule and shared by both engines; volatile
+        # because the memo outlives runs — the hit rate depends on what
+        # ran earlier in the process).
+        from ..core.schedule import template_cache_stats
 
-        stats = fastpath.template_cache_stats()
+        stats = template_cache_stats()
         registry.gauge(
             "engine_template_cache_hits",
             "schedule-template cache hits (process-global)",

@@ -10,8 +10,6 @@ requests, and the domain/latency filters.
 import pytest
 
 from repro.analysis import threshold_decode, window_latency_means
-from repro.analysis.covert import _threshold_decode, \
-    _window_latency_means
 from repro.dram.commands import Address, OpType, Request
 
 
@@ -104,9 +102,3 @@ def test_window_means_validates_arguments():
         window_latency_means([], 0, 3)
     with pytest.raises(ValueError):
         window_latency_means([], 100, 0)
-
-
-def test_private_aliases_preserved():
-    """The pre-promotion underscore names still resolve (compat)."""
-    assert _threshold_decode is threshold_decode
-    assert _window_latency_means is window_latency_means

@@ -543,13 +543,6 @@ class TestCorruptCheckpoints:
 # ----------------------------------------------------------------------
 
 class TestCompatAndCli:
-    def test_sim_sweep_worker_pool_is_deprecated_reexport(self):
-        from repro.sim import sweep as sweep_mod
-
-        with pytest.warns(DeprecationWarning, match="repro.exec"):
-            pool = sweep_mod.worker_pool(1)
-        pool.shutdown(wait=False)
-
     def test_exec_error_exported_at_package_root(self):
         import repro
 

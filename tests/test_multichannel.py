@@ -1,7 +1,10 @@
 """Tests for the full-target multi-channel FS system (Section 4.1)."""
 
+import dataclasses
+
 import pytest
 
+from repro.controllers.base import ControllerStats
 from repro.dram.checker import TimingChecker
 from repro.dram.timing import DDR3_1600_X4
 from repro.sim.config import SystemConfig, full_target_config
@@ -46,6 +49,41 @@ class TestFullTargetSystem:
         system = build_system("fs_rp_mc", CFG, suite_specs("milc", 32))
         result = system.run(max_cycles=8_000_000)
         assert result.stats.demand_reads == result.total_reads
+        subs = system.controller._sub
+        # No fault injector runs here: give the fault counters distinct
+        # per-channel values so their aggregation is observable too.
+        for channel, sub in subs.items():
+            sub.stats.faulted_slots += channel + 1
+            sub.stats.squashed_duplicates += 2 * channel
+        total = system.controller.stats
+        for field in dataclasses.fields(ControllerStats):
+            assert getattr(total, field.name) == sum(
+                getattr(sub.stats, field.name) for sub in subs.values()
+            ), field.name
+
+    def test_monitor_observes_every_channel(self):
+        """The watchdog checks the commands the per-channel
+        sub-controllers issue, and is finalized with the run."""
+        system = build_system(
+            "fs_rp_mc", full_target_config(accesses_per_core=40),
+            suite_specs("milc", 32),
+            SchemeOptions(log_commands=True, monitor=True),
+        )
+        monitor = system.controller.monitor
+        observed = []
+        observe = monitor.observe_command
+
+        def spy(command):
+            observed.append(command)
+            observe(command)
+
+        monitor.observe_command = spy
+        system.run(max_cycles=8_000_000)
+        assert observed
+        assert len(observed) == len(system.controller.command_log)
+        assert {c.channel for c in observed} == {0, 1, 2, 3}
+        assert monitor._finalized
+        assert monitor.ok
 
     def test_service_trace_covers_every_domain(self):
         system = build_system("fs_rp_mc", CFG, suite_specs("milc", 32))

@@ -178,16 +178,36 @@ class TestSolverPropertyBased:
 
 
 class TestTemplateCacheProperties:
-    """The fast path's schedule-template cache vs the solver's math.
+    """The schedule memo and its precomputed tables vs the solver's math.
 
-    :func:`repro.sim.fastpath.cached_fs_schedule` runs the pipeline
-    solver once per ``(timing, domains, sharing, ...)`` key and serves a
-    memoized :class:`~repro.sim.fastpath.TemplatedSchedule` afterwards.
-    Whatever random-but-consistent timing the solver is handed, the
-    cached timetable must be *the same timetable* the reference build
-    produces — same solved gap, same slots, same command cycles — or
-    the two engines would silently drift apart.
+    :func:`repro.core.schedule.cached_fs_schedule` runs the pipeline
+    solver once per ``(timing, domains, sharing, ...)`` key and serves
+    the same schedule object afterwards, to both engines.  Whatever
+    random-but-consistent timing the solver is handed, the cached
+    timetable must be *the same timetable* a fresh build produces, and
+    the command offsets and decide/release tables it precomputes must
+    equal the closed forms re-derived here from :func:`slot_timing`.
     """
+
+    @staticmethod
+    def assert_tables_match_slot_timing(schedule, params):
+        from repro.core.schedule import CommandTimes
+
+        rel = {
+            is_read: slot_timing(params, schedule.mode, is_read)
+            for is_read in (True, False)
+        }
+        for anchor in (0, 1, schedule.interval_length, 12345):
+            for is_read, t in rel.items():
+                assert schedule.command_times(anchor, is_read) == \
+                    CommandTimes(act=anchor + t.act, col=anchor + t.col,
+                                 data=anchor + t.data)
+        earliest = min(min(t.act, t.col) for t in rel.values())
+        for i, slot in enumerate(schedule.slots):
+            anchor = schedule.lead + slot.anchor_offset
+            assert schedule.decide_base[i] == anchor + earliest
+            assert schedule.release_base[i] == \
+                anchor + rel[True].data + params.tBURST
 
     @given(timing_params(),
            st.sampled_from([SharingLevel.RANK, SharingLevel.BANK]),
@@ -196,19 +216,19 @@ class TestTemplateCacheProperties:
     def test_cached_schedule_matches_fresh_build(
         self, params, sharing, domains
     ):
-        from repro.core.schedule import build_fs_schedule
-        from repro.sim import fastpath
+        from repro.core import schedule as sched
 
-        fastpath.clear_caches()
+        sched.clear_caches()
         try:
-            fresh = build_fs_schedule(params, domains, sharing)
+            fresh = sched.build_fs_schedule(params, domains, sharing)
         except RuntimeError:
             return  # no feasible gap under the default bound: skip
-        cached = fastpath.cached_fs_schedule(params, domains, sharing)
+        cached = sched.cached_fs_schedule(params, domains, sharing)
         # One solver run per key: the second lookup is the same object.
-        assert fastpath.cached_fs_schedule(
+        assert sched.cached_fs_schedule(
             params, domains, sharing
         ) is cached
+        assert sched.template_cache_stats() == {"hits": 1, "misses": 1}
         assert cached.slot_gap == fresh.slot_gap
         assert cached.mode is fresh.mode
         assert cached.interval_length == fresh.interval_length
@@ -218,7 +238,55 @@ class TestTemplateCacheProperties:
         assert solver.check(
             cached.slot_gap, cached.mode, sharing
         ) is None
-        for anchor in (0, 1, cached.interval_length, 12345):
-            for is_read in (True, False):
-                assert cached.command_times(anchor, is_read) == \
-                    fresh.command_times(anchor, is_read)
+        self.assert_tables_match_slot_timing(cached, params)
+
+    @given(timing_params(), st.integers(2, 9))
+    @settings(max_examples=15, deadline=None)
+    def test_cached_triple_alternation_matches_fresh_build(
+        self, params, domains
+    ):
+        from repro.core import schedule as sched
+
+        sched.clear_caches()
+        try:
+            fresh = sched.build_triple_alternation_schedule(params, domains)
+        except RuntimeError:
+            return  # three slots cannot cover the same-bank gap: skip
+        cached = sched.cached_triple_alternation_schedule(params, domains)
+        assert sched.cached_triple_alternation_schedule(
+            params, domains
+        ) is cached
+        assert sched.template_cache_stats() == {"hits": 1, "misses": 1}
+        assert cached.slot_gap == fresh.slot_gap
+        assert cached.interval_length == fresh.interval_length
+        assert cached.slots == fresh.slots
+        assert cached.lead == fresh.lead
+        self.assert_tables_match_slot_timing(cached, params)
+
+    @pytest.mark.parametrize(
+        "scheme", ["fs_rp", "fs_bp", "fs_np", "fs_np_ta", "fs_rp_mc"]
+    )
+    def test_both_engines_share_one_schedule(self, scheme):
+        from repro.sim.config import SystemConfig, full_target_config
+        from repro.sim.runner import build_system
+        from repro.workloads.spec import suite_specs
+
+        config = (
+            full_target_config(accesses_per_core=10)
+            if scheme == "fs_rp_mc"
+            else SystemConfig(num_cores=4, accesses_per_core=10)
+        )
+        specs = suite_specs("mcf", config.num_cores)
+
+        def schedules(engine):
+            controller = build_system(
+                scheme, config, specs, engine=engine
+            ).controller
+            subs = getattr(controller, "_sub", None)
+            if subs is None:
+                return [controller.schedule]
+            return [sub.schedule for _, sub in sorted(subs.items())]
+
+        fast, reference = schedules("fast"), schedules("reference")
+        assert all(f is r for f, r in zip(fast, reference))
+        assert len(fast) == len(reference)

@@ -98,7 +98,7 @@ class TestDummyGenerator:
         part = RankPartition(G, 8)
         a = DummyGenerator(0, part)
         b = DummyGenerator(1, part)
-        assert a.candidates()[0].rank != b.candidates()[0].rank
+        assert next(a.candidates()).rank != next(b.candidates()).rank
 
     def test_confined_to_partition(self):
         part = RankPartition(G, 8)
@@ -110,7 +110,7 @@ class TestDummyGenerator:
     def test_rotates_banks(self):
         part = RankPartition(G, 8)
         gen = DummyGenerator(0, part)
-        first = [gen.candidates(limit=1)[0].bank for _ in range(8)]
+        first = [next(gen.candidates(limit=1)).bank for _ in range(8)]
         assert len(set(first)) == 8  # cycles through all 8 banks
 
     def test_bank_mod_filter(self):
@@ -128,5 +128,5 @@ class TestDummyGenerator:
     def test_rows_vary(self):
         part = RankPartition(G, 8)
         gen = DummyGenerator(0, part)
-        rows = {gen.candidates(limit=1)[0].row for _ in range(32)}
+        rows = {next(gen.candidates(limit=1)).row for _ in range(32)}
         assert len(rows) > 8
