@@ -34,6 +34,11 @@ from ..dram.commands import (
 from ..dram.system import DramSystem
 from ..dram.timing import TimingParams
 
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_DEMAND = RequestKind.DEMAND
+_PREFETCH = RequestKind.PREFETCH
+_DUMMY = RequestKind.DUMMY
+
 
 @dataclass
 class ControllerStats:
@@ -85,9 +90,10 @@ class ControllerStats:
         return self.read_latency_sum / self.read_count
 
     def record_service(self, request: Request) -> None:
-        if request.kind is RequestKind.DUMMY:
+        kind = request.kind
+        if kind is _DUMMY:
             self.dummies += 1
-        elif request.kind is RequestKind.PREFETCH:
+        elif kind is _PREFETCH:
             self.prefetches += 1
         elif request.is_read:
             self.demand_reads += 1
@@ -95,7 +101,7 @@ class ControllerStats:
             self.demand_writes += 1
 
     def record_release(self, request: Request) -> None:
-        if request.kind is RequestKind.DEMAND and request.is_read:
+        if request.kind is _DEMAND and request.is_read:
             latency = request.latency
             assert latency is not None
             self.read_latency_sum += latency

@@ -25,7 +25,7 @@ import abc
 import heapq
 import itertools
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..controllers.base import MemoryController
 from ..dram.commands import (
@@ -41,8 +41,17 @@ from ..faults import FaultInjector, FaultKind
 from ..mapping.partition import PartitionPolicy
 from .energy_opts import EnergyAdjustments, FsEnergyOptions
 from .pipeline_solver import SharingLevel
-from .schedule import FixedServiceSchedule, SlotSpec
+from .schedule import CommandTimes, FixedServiceSchedule, SlotSpec
 from .shaping import DomainHazardTracker, DummyGenerator
+
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_ACTIVATE = CommandType.ACTIVATE
+_COL_READ_AP = CommandType.COL_READ_AP
+_COL_WRITE_AP = CommandType.COL_WRITE_AP
+_READ = OpType.READ
+_DEMAND = RequestKind.DEMAND
+_PREFETCH = RequestKind.PREFETCH
+_DUMMY = RequestKind.DUMMY
 
 
 class PrefetchBuffer:
@@ -82,9 +91,9 @@ class PrefetchBuffer:
 def service_code(request: Request) -> str:
     """The service-trace letter of a dispatched transaction."""
     kind = request.kind
-    if kind is RequestKind.DEMAND:
+    if kind is _DEMAND:
         return "R" if request.is_read else "W"
-    if kind is RequestKind.PREFETCH:
+    if kind is _PREFETCH:
         return "P"
     return "D"
 
@@ -95,9 +104,10 @@ class FsControllerBase(MemoryController):
     Per-domain queues, self-hazard trackers and dummy streams; the
     staged-command heap; and :meth:`_work`, the single loop that takes
     timetable decisions and staged commands in time order.  Subclasses
-    give the timetable as :meth:`_decide_cycle`, a closed form of the
-    decision index (a slot, or a whole interval), and serve decision
-    ``g`` in :meth:`_decide`.
+    declare their timetable as tables: decision ``g`` (a slot, or a
+    whole interval) is taken at ``decide_base[g % len(decide_base)]``
+    plus ``period`` per completed round of the table.  They serve each
+    decision in :meth:`_decide`.
     """
 
     #: How deep to scan a domain's queue for a legal transaction when the
@@ -113,6 +123,8 @@ class FsControllerBase(MemoryController):
         energy_options: Optional[FsEnergyOptions],
         log_commands: bool,
         fault_injector: Optional[FaultInjector],
+        decide_base: Sequence[int],
+        period: int,
     ) -> None:
         super().__init__(dram, num_domains, log_commands)
         if channel >= dram.num_channels:
@@ -125,6 +137,14 @@ class FsControllerBase(MemoryController):
         #: a pure function of (seed, domain, the domain's own progress),
         #: so faults cannot carry information between domains.
         self.fault_injector = fault_injector
+        #: Whether the plan arms the deliberately-broken borrow-foreign-
+        #: slot recovery.  A borrowed transaction runs in a slot the
+        #: offline proof never placed it in, so its commands may break a
+        #: shared resource's timing: they are issued checked.
+        self._borrows = fault_injector is not None and \
+            fault_injector.plan.arms(FaultKind.BORROW_FOREIGN_SLOT)
+        if self._borrows:
+            self.trusted_issue = False
         self._queues: Dict[int, List[Request]] = {
             d: [] for d in range(num_domains)
         }
@@ -140,16 +160,22 @@ class FsControllerBase(MemoryController):
         self._staged: List[Tuple[int, int, Command]] = []
         self._stage_seq = itertools.count()
         self._last_issued_key: Optional[Tuple] = None
-        #: Index of the next undecided slot (or interval).
+        #: Decision cycles of one round of the timetable, and the cycles
+        #: each round adds.
+        self._decide_base = tuple(decide_base)
+        self._period = period
+        #: Cursor at the next undecided decision: its index ``g``, its
+        #: table position ``g % len(decide_base)`` and the cycle its
+        #: round starts at.
         self._next_decision = 0
+        self._next_pos = 0
+        self._next_offset = 0
 
     @abc.abstractmethod
-    def _decide_cycle(self, g: int) -> int:
-        """Cycle at which decision ``g`` is taken."""
-
-    @abc.abstractmethod
-    def _decide(self, g: int) -> None:
-        """Serve decision ``g``: pick, dispatch and stage its commands."""
+    def _decide(self, g: int, pos: int, offset: int) -> None:
+        """Serve decision ``g`` (table position ``pos`` of the round
+        starting at cycle ``offset``): pick, dispatch and stage its
+        commands."""
 
     # ------------------------------------------------------------------
     # MemoryController interface.
@@ -177,7 +203,7 @@ class FsControllerBase(MemoryController):
     def next_event(self) -> Optional[int]:
         """FS always has a next decision; report the sooner of it, the
         next staged command, and the next release."""
-        candidates = [self._decide_cycle(self._next_decision)]
+        candidates = [self._next_offset + self._decide_base[self._next_pos]]
         if self._staged:
             candidates.append(self._staged[0][0])
         if self._release_heap:
@@ -196,16 +222,25 @@ class FsControllerBase(MemoryController):
         # Without a fault injector no duplicate is ever staged, so the
         # duplicate-command guard below would be a no-op.
         guard = self.fault_injector is not None
-        # The decide cycle only changes when a decision is taken.
-        decide_at = self._decide_cycle(self._next_decision)
+        decide = self._decide
+        base = self._decide_base
+        period = self._period
+        g, pos, offset = (
+            self._next_decision, self._next_pos, self._next_offset
+        )
+        decide_at = offset + base[pos]
         while True:
             staged_at = staged[0][0] if staged else None
             if decide_at <= until and (
                 staged_at is None or decide_at <= staged_at
             ):
-                self._decide(self._next_decision)
-                self._next_decision += 1
-                decide_at = self._decide_cycle(self._next_decision)
+                decide(g, pos, offset)
+                g += 1
+                pos += 1
+                if pos == len(base):
+                    pos = 0
+                    offset += period
+                decide_at = offset + base[pos]
                 continue
             if staged_at is not None and staged_at <= until:
                 _, _, command = heapq.heappop(staged)
@@ -225,6 +260,9 @@ class FsControllerBase(MemoryController):
                 self._issue(command)
                 continue
             break
+        self._next_decision, self._next_pos, self._next_offset = (
+            g, pos, offset
+        )
         self.dram.channels[self.channel_id].prune(self.now)
 
     def _stage(self, command: Command) -> None:
@@ -258,6 +296,7 @@ class FixedServiceController(FsControllerBase):
         super().__init__(
             dram, schedule.num_domains, partition, channel,
             energy_options, log_commands, fault_injector,
+            schedule.decide_base, schedule.interval_length,
         )
         self.schedule = schedule
         self.prefetchers = prefetchers or {}
@@ -282,6 +321,7 @@ class FixedServiceController(FsControllerBase):
         self._rh_value: Optional[int] = None
         self._enq_count = 0
         self.refresh = refresh
+        self._refreshing = refresh is not None and refresh.enabled
         #: Domain -> ranks it owns on this channel (refresh suppression).
         self._domain_ranks: Dict[int, Tuple[int, ...]] = {
             d: tuple(sorted({
@@ -290,7 +330,7 @@ class FixedServiceController(FsControllerBase):
             }))
             for d in range(self.num_domains)
         }
-        if self.refresh is not None and self.refresh.enabled:
+        if self._refreshing:
             if schedule.sharing is not SharingLevel.RANK:
                 raise ValueError(
                     "deterministic refresh is only supported with rank "
@@ -373,17 +413,6 @@ class FixedServiceController(FsControllerBase):
                     rank, window.start + 1
                 )
 
-    def _slot_geometry(self, g: int) -> Tuple[int, SlotSpec, int]:
-        interval, idx = divmod(g, self.schedule.slots_per_interval)
-        spec = self.schedule.slots[idx]
-        return interval, spec, self.schedule.anchor(interval, spec)
-
-    def _decide_cycle(self, g: int) -> int:
-        schedule = self.schedule
-        interval, idx = divmod(g, len(schedule.decide_base))
-        return interval * schedule.interval_length + \
-            schedule.decide_base[idx]
-
     def release_horizon(self) -> Optional[int]:
         """Earliest cycle a *new* core release could be created.
 
@@ -393,13 +422,16 @@ class FixedServiceController(FsControllerBase):
         served at a future slot of a domain that has queued work, which
         cannot complete before that domain's next own slot's read-data
         burst ends (write-forward and prefetch-hit releases are created
-        at enqueue time).  Returns ``None`` under fault injection (the
-        deliberately-broken borrow-foreign-slot recovery can complete a
-        *pending* domain's request inside an idle domain's slot, which
-        this bound does not cover) — the driver then falls back to
-        ``next_event`` granularity.
+        at enqueue time).  The composable faults keep the bound: a drop,
+        delay or refresh collision only moves a demand to a later slot
+        of its own domain, and queue overflow already forces
+        ``next_event`` granularity through the driver's back-pressure
+        check.  Returns ``None`` when the plan arms the deliberately-
+        broken borrow-foreign-slot recovery, which can complete a
+        *pending* domain's request inside an idle domain's slot — the
+        driver then falls back to ``next_event`` granularity.
         """
-        if self.fault_injector is not None:
+        if self._borrows:
             return None
         g0 = self._next_decision
         key = (g0, self._enq_count)
@@ -468,7 +500,7 @@ class FixedServiceController(FsControllerBase):
         return len(self._queues[domain]) < capacity
 
     def _work(self, until: int) -> None:
-        if self.refresh is not None and self.refresh.enabled:
+        if self._refreshing:
             self._pump_refreshes(until + self.schedule.interval_length)
         super()._work(until)
 
@@ -476,11 +508,13 @@ class FixedServiceController(FsControllerBase):
     # Slot decisions.
     # ------------------------------------------------------------------
 
-    def _decide(self, g: int) -> None:
-        interval, spec, anchor = self._slot_geometry(g)
+    def _decide(self, g: int, pos: int, offset: int) -> None:
+        schedule = self.schedule
+        spec = schedule.slots[pos]
+        anchor = offset + schedule.anchor_base[pos]
         domain = spec.domain
-        decide_at = anchor + self.schedule.decision_lead
-        if self.refresh is not None and self.refresh.enabled:
+        decide_at = offset + schedule.decide_base[pos]
+        if self._refreshing:
             if any(
                 self._refresh_blackout(rk, anchor)
                 for rk in self._domain_ranks[domain]
@@ -512,48 +546,52 @@ class FixedServiceController(FsControllerBase):
                     "slot service delayed to next own slot",
                 )
                 self.stats.faulted_slots += 1
-                self._fill_like_empty(domain, spec, anchor, decide_at)
+                self._fill_like_empty(
+                    domain, spec, anchor, decide_at,
+                    schedule.command_times(anchor, True),
+                )
                 return
             if injector.borrow_foreign_slot(domain, g) and \
-                    self._borrow_foreign(domain, spec, anchor, decide_at):
+                    self._borrow_foreign(domain, anchor, decide_at):
                 return
-        request = self._select_demand(domain, spec, anchor, decide_at)
-        if request is not None:
-            self._queues[domain].remove(request)
-            self._dispatch(request, spec, anchor)
+        queue = self._queues[domain]
+        found = self._select_demand(domain, spec, anchor, decide_at)
+        if found is not None:
+            request, times = found
+            queue.remove(request)
+            self._dispatch(request, anchor, times)
             return
-        if any(r.arrival <= decide_at for r in self._queues[domain]):
+        if queue and any(r.arrival <= decide_at for r in queue):
             self.stats.blocked_slots += 1
-        prefetch = self._select_prefetch(domain, spec, anchor, decide_at)
+        # Prefetches and dummies are reads: one CommandTimes serves
+        # whichever of them the slot dispatches.
+        times = schedule.command_times(anchor, True)
+        prefetch = self._select_prefetch(domain, spec, times, decide_at)
         if prefetch is not None:
-            self._dispatch(prefetch, spec, anchor)
+            self._dispatch(prefetch, anchor, times)
             return
         if self.energy_options.power_down_idle and \
                 self._try_power_down(domain, spec, anchor):
             return
-        dummy = self._select_dummy(domain, spec, anchor, decide_at)
-        if dummy is not None:
-            self._dispatch(dummy, spec, anchor)
-            return
-        self.stats.bubbles += 1
-        self._trace(domain, anchor, "-")
+        self._fill_like_empty(domain, spec, anchor, decide_at, times)
 
     def _fill_like_empty(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
+        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int,
+        times: CommandTimes,
     ) -> None:
         """Fill a slot exactly as if the domain's queue were empty: a
-        dummy when legal, a bubble otherwise.  Used by the delay-slot
-        fault path so a fault is externally indistinguishable from an
-        idle slot."""
-        dummy = self._select_dummy(domain, spec, anchor, decide_at)
+        dummy when legal, a bubble otherwise.  Also the delay-slot fault
+        path, so a fault is externally indistinguishable from an idle
+        slot.  ``times`` are the slot's read command times."""
+        dummy = self._select_dummy(domain, spec, times, decide_at)
         if dummy is not None:
-            self._dispatch(dummy, spec, anchor)
+            self._dispatch(dummy, anchor, times)
             return
         self.stats.bubbles += 1
         self._trace(domain, anchor, "-")
 
     def _borrow_foreign(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
+        self, domain: int, anchor: int, decide_at: int
     ) -> bool:
         """DELIBERATELY BROKEN recovery policy — test-only.
 
@@ -571,9 +609,12 @@ class FixedServiceController(FsControllerBase):
             for request in self._queues[other]:
                 if request.arrival > decide_at:
                     continue
-                # Stay JEDEC-polite (the DRAM model would reject the
-                # commands outright otherwise): the breakage here is the
-                # *schedule* invariant, which only the watchdog sees.
+                # Only the served domain's own hazards are checked.
+                # Under rank partitioning that keeps the borrow JEDEC-
+                # legal; where domains share a rank (bank or no
+                # partitioning) it need not be, and the checked issue
+                # path raises TimingViolation — which is why a plan
+                # arming this fault turns trusted issue off.
                 times = self.schedule.command_times(
                     anchor, request.is_read
                 )
@@ -587,7 +628,7 @@ class FixedServiceController(FsControllerBase):
                         FaultKind.BORROW_FOREIGN_SLOT, other, anchor,
                         f"served in domain {domain}'s slot",
                     )
-                self._dispatch(request, spec, anchor)
+                self._dispatch(request, anchor, times)
                 return True
         return False
 
@@ -648,14 +689,21 @@ class FixedServiceController(FsControllerBase):
 
     def _select_demand(
         self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
-    ) -> Optional[Request]:
+    ) -> Optional[Tuple[Request, CommandTimes]]:
+        """The first legal queued demand for the slot, with its command
+        times (``None`` when nothing in the scan window is legal)."""
+        queue = self._queues[domain]
+        if not queue:
+            return None
         tracker = self._hazards[domain]
+        command_times = self.schedule.command_times
+        bank_mod = spec.bank_mod
         scanned = 0
-        for request in self._queues[domain]:
+        for request in queue:
             if request.arrival > decide_at:
                 continue
-            if spec.bank_mod is not None and (
-                request.address.bank % 3 != spec.bank_mod
+            if bank_mod is not None and (
+                request.address.bank % 3 != bank_mod
             ):
                 # The class filter is a cheap tag compare ("scan a few
                 # bits in one queue", Section 5.1); it does not consume
@@ -664,19 +712,19 @@ class FixedServiceController(FsControllerBase):
             scanned += 1
             if scanned > self.SCAN_DEPTH:
                 break
-            times = self.schedule.command_times(anchor, request.is_read)
+            times = command_times(anchor, request.is_read)
             if tracker.legal(times, request.address, request.is_read):
-                return request
+                return request, times
         return None
 
     def _select_prefetch(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
+        self, domain: int, spec: SlotSpec, times: CommandTimes,
+        decide_at: int,
     ) -> Optional[Request]:
         prefetcher = self.prefetchers.get(domain)
         if prefetcher is None:
             return None
         tracker = self._hazards[domain]
-        times = self.schedule.command_times(anchor, True)
         for line in prefetcher.claim_candidates():
             address = self.partition.decode(domain, line)
             if address.channel != self.channel_id:
@@ -688,27 +736,27 @@ class FixedServiceController(FsControllerBase):
             if not tracker.legal(times, address, True):
                 continue
             return Request(
-                op=OpType.READ,
+                op=_READ,
                 address=address,
                 domain=domain,
-                kind=RequestKind.PREFETCH,
+                kind=_PREFETCH,
                 arrival=decide_at,
                 line=line,
             )
         return None
 
     def _select_dummy(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
+        self, domain: int, spec: SlotSpec, times: CommandTimes,
+        decide_at: int,
     ) -> Optional[Request]:
         tracker = self._hazards[domain]
-        times = self.schedule.command_times(anchor, True)
         for address in self._dummies[domain].candidates(spec.bank_mod):
             if tracker.legal(times, address, True):
                 return Request(
-                    op=OpType.READ,
+                    op=_READ,
                     address=address,
                     domain=domain,
-                    kind=RequestKind.DUMMY,
+                    kind=_DUMMY,
                     arrival=decide_at,
                 )
         return None
@@ -718,12 +766,13 @@ class FixedServiceController(FsControllerBase):
     # ------------------------------------------------------------------
 
     def _dispatch(
-        self, request: Request, spec: SlotSpec, anchor: int
+        self, request: Request, anchor: int, times: CommandTimes
     ) -> None:
         domain = request.domain
         addr = request.address
-        times = self.schedule.command_times(anchor, request.is_read)
-        self._hazards[domain].commit(times, addr, request.is_read)
+        is_read = request.is_read
+        kind = request.kind
+        self._hazards[domain].commit(times, addr, is_read)
 
         injector = self.fault_injector
         if injector is not None and injector.drop_command(domain, anchor):
@@ -735,37 +784,30 @@ class FixedServiceController(FsControllerBase):
             # which would leak the fault to a co-runner.
             injector.record(
                 FaultKind.DROP_COMMAND, domain, anchor,
-                f"{request.kind.value} commands dropped; "
+                f"{kind.value} commands dropped; "
                 f"retrying next own slot",
             )
             self.stats.faulted_slots += 1
-            if request.kind is RequestKind.DEMAND:
+            if kind is _DEMAND:
                 self._queues[domain].insert(0, request)
             self._trace(domain, anchor, "F")
             return
 
         bank_key = (addr.rank, addr.bank)
-        row_hit = self._last_row[domain].get(bank_key) == addr.row
-        self._last_row[domain][bank_key] = addr.row
+        last_row = self._last_row[domain]
+        row_hit = last_row.get(bank_key) == addr.row
+        last_row[bank_key] = addr.row
         request.row_hit = row_hit
         if row_hit and self.energy_options.boost_row_hits:
             self.adjustments.rowhit_saved_activates += 1
             self.stats.row_hit_boosts += 1
 
-        suppress = (
-            request.kind is RequestKind.DUMMY
-            and self.energy_options.suppress_dummies
-        )
-        if suppress:
+        if kind is _DUMMY and self.energy_options.suppress_dummies:
             request.suppressed = True
             self.stats.suppressed_dummies += 1
         else:
-            col_type = (
-                CommandType.COL_READ_AP if request.is_read
-                else CommandType.COL_WRITE_AP
-            )
             act = Command(
-                CommandType.ACTIVATE, times.act, self.channel_id,
+                _ACTIVATE, times.act, self.channel_id,
                 addr.rank, addr.bank, addr.row, request.req_id, domain,
             )
             self._stage(act)
@@ -781,8 +823,9 @@ class FixedServiceController(FsControllerBase):
                 )
                 self._stage(act)
             self._stage(Command(
-                col_type, times.col, self.channel_id, addr.rank,
-                addr.bank, addr.row, request.req_id, domain,
+                _COL_READ_AP if is_read else _COL_WRITE_AP, times.col,
+                self.channel_id, addr.rank, addr.bank, addr.row,
+                request.req_id, domain,
             ))
 
         request.issue = times.first
@@ -791,13 +834,13 @@ class FixedServiceController(FsControllerBase):
         self.stats.record_service(request)
         self._trace(domain, anchor, service_code(request))
 
-        if request.kind is RequestKind.PREFETCH:
+        if kind is _PREFETCH:
             self.prefetch_buffers[domain].fill(request.line)
-        if request.kind is RequestKind.DEMAND:
+        elif kind is _DEMAND:
             prefetcher = self.prefetchers.get(domain)
-            if prefetcher is not None and request.is_read and (
+            if prefetcher is not None and is_read and (
                 request.line is not None
             ):
                 prefetcher.observe(request.line)
-            if request.is_read:
+            if is_read:
                 self._schedule_release(request, request.completion)

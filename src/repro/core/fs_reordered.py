@@ -15,7 +15,7 @@ its own queue.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..dram.commands import (
     Command,
@@ -32,6 +32,14 @@ from .fs_controller import FsControllerBase, service_code
 from .schedule import CommandTimes, ReorderedBpGeometry, \
     build_reordered_bp_geometry
 
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_ACTIVATE = CommandType.ACTIVATE
+_COL_READ_AP = CommandType.COL_READ_AP
+_COL_WRITE_AP = CommandType.COL_WRITE_AP
+_READ = OpType.READ
+_DEMAND = RequestKind.DEMAND
+_DUMMY = RequestKind.DUMMY
+
 
 class ReorderedBpController(FsControllerBase):
     """Interval-batched FS: reads first, writes after, en-masse release."""
@@ -47,16 +55,17 @@ class ReorderedBpController(FsControllerBase):
         log_commands: bool = False,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
-        super().__init__(
-            dram, num_domains, partition, channel, energy_options,
-            log_commands, fault_injector,
-        )
-        self.geometry = geometry or build_reordered_bp_geometry(
+        geometry = geometry or build_reordered_bp_geometry(
             dram.params, num_domains
         )
-        if self.geometry.num_domains != num_domains:
+        if geometry.num_domains != num_domains:
             raise ValueError("geometry domain count mismatch")
-        self._times_memo: Dict[Tuple[int, bool], CommandTimes] = {}
+        # One decision per interval, at the interval's first cycle.
+        super().__init__(
+            dram, num_domains, partition, channel, energy_options,
+            log_commands, fault_injector, (0,), geometry.interval_length,
+        )
+        self.geometry = geometry
         # The earliest command of an interval precedes its first data
         # burst by tRCD + tCAS (a read activate).
         self._lead = dram.params.tRCD + max(
@@ -69,9 +78,6 @@ class ReorderedBpController(FsControllerBase):
         """Cycle of the interval's first data burst."""
         return self._lead + index * self.geometry.interval_length
 
-    def _decide_cycle(self, index: int) -> int:
-        return index * self.geometry.interval_length
-
     def release_horizon(self) -> Optional[int]:
         """Earliest cycle a *new* core release could be created.
 
@@ -80,12 +86,10 @@ class ReorderedBpController(FsControllerBase):
         and undecided intervals start at ``self._next_decision``, so no
         future dispatch can release before the next interval's release
         point.  Releases from already-decided intervals sit in the
-        release heap and are covered by ``drain_deadline``.  ``None``
-        under fault injection (``drop_command`` re-queues a demand and
-        ``delay_slot`` shifts service, both at reference granularity).
+        release heap and are covered by ``drain_deadline``.  Faults keep
+        the bound: ``drop_command`` and ``delay_slot`` only move a demand
+        to a later interval, and this controller has no borrow path.
         """
-        if self.fault_injector is not None:
-            return None
         g = self.geometry
         return (
             self.interval_start(self._next_decision)
@@ -95,12 +99,24 @@ class ReorderedBpController(FsControllerBase):
 
     # ------------------------------------------------------------------
 
-    def _decide(self, index: int) -> None:
+    def _decide(self, index: int, pos: int, offset: int) -> None:
+        decide_at = offset
         start = self.interval_start(index)
-        decide_at = self._decide_cycle(index)
+        last_slot = start + (
+            (self.geometry.num_domains - 1) * self.geometry.data_gap
+        )
+        last_data_end = last_slot + self.params.tBURST
+        # Pick against the interval's earliest slot, commit hazards at
+        # its last (see _dispatch): both pairs are indexed by is_read.
+        pick_times = (self._times(start, False), self._times(start, True))
+        hazard_times = (
+            self._times(last_slot, False), self._times(last_slot, True)
+        )
         picks: List[Request] = []
         for domain in range(self.num_domains):
-            request = self._pick(domain, start, decide_at, index)
+            request = self._pick(
+                domain, start, decide_at, index, pick_times
+            )
             if request is not None:
                 picks.append(request)
             else:
@@ -109,22 +125,22 @@ class ReorderedBpController(FsControllerBase):
         # Reads first, then writes; domain order within each group.
         reads = [r for r in picks if r.is_read]
         writes = [r for r in picks if not r.is_read]
-        last_slot = start + (
-            (self.geometry.num_domains - 1) * self.geometry.data_gap
-        )
-        last_data_end = last_slot + self.params.tBURST
         for position, request in enumerate(reads + writes):
             data_at = start + self.geometry.data_offset(position)
             self._dispatch(
                 request, data_at,
                 release_at=last_data_end,
-                hazard_data_at=last_slot,
+                hazard_times=hazard_times[request.is_read],
             )
 
     def _pick(
         self, domain: int, start: int, decide_at: int,
-        interval_index: int = 0,
+        interval_index: int,
+        times: Tuple[CommandTimes, CommandTimes],
     ) -> Optional[Request]:
+        """The domain's transaction for this interval: a legal queued
+        demand, else a dummy.  ``times`` are the interval's earliest-slot
+        command times, indexed by ``is_read``."""
         tracker = self._hazards[domain]
         injector = self.fault_injector
         delayed = injector is not None and injector.delay_slot(
@@ -148,69 +164,51 @@ class ReorderedBpController(FsControllerBase):
                 break
             # Hazard check against the worst-case placement for the
             # domain's own history: the earliest slot of this interval.
-            times = self._times(start, request.is_read)
-            if tracker.legal(times, request.address, request.is_read):
+            if tracker.legal(
+                times[request.is_read], request.address, request.is_read
+            ):
                 self._queues[domain].remove(request)
                 return request
-        times = self._times(start, True)
+        read_times = times[True]
         for address in self._dummies[domain].candidates():
-            if tracker.legal(times, address, True):
+            if tracker.legal(read_times, address, True):
                 return Request(
-                    op=OpType.READ,
+                    op=_READ,
                     address=address,
                     domain=domain,
-                    kind=RequestKind.DUMMY,
+                    kind=_DUMMY,
                     arrival=decide_at,
                 )
         return None
 
     def _times(self, data_at: int, is_read: bool) -> CommandTimes:
-        # One interval touches the same (data_at, direction) pair ~3x
-        # per transaction (pick scan, hazard commit, dispatch), so a
-        # one-entry memo per direction removes most CommandTimes
-        # constructions.  CommandTimes is an immutable value object;
-        # sharing an instance is observationally identical.
-        cached = self._times_memo.get((data_at, is_read))
-        if cached is not None:
-            return cached
         p = self.params
         if is_read:
-            times = CommandTimes(
-                act=data_at - p.tRCD - p.tCAS,
-                col=data_at - p.tCAS,
-                data=data_at,
+            return CommandTimes(
+                data_at - p.tRCD - p.tCAS, data_at - p.tCAS, data_at
             )
-        else:
-            times = CommandTimes(
-                act=data_at - p.tRCD - p.tCWD,
-                col=data_at - p.tCWD,
-                data=data_at,
-            )
-        memo = self._times_memo
-        if len(memo) > 8:  # one interval's worth; stays tiny
-            memo.clear()
-        memo[(data_at, is_read)] = times
-        return times
+        return CommandTimes(
+            data_at - p.tRCD - p.tCWD, data_at - p.tCWD, data_at
+        )
 
     def _dispatch(
         self,
         request: Request,
         data_at: int,
         release_at: int,
-        hazard_data_at: int,
+        hazard_times: CommandTimes,
     ) -> None:
         domain = request.domain
         addr = request.address
-        times = self._times(data_at, request.is_read)
+        is_read = request.is_read
+        kind = request.kind
+        times = self._times(data_at, is_read)
         # SECURITY: the hazard tracker must never learn the transaction's
         # slot *position* — positions depend on co-runners' read/write mix.
         # Commit the position-independent worst case (the interval's last
-        # slot): conservative for every future gap check, and a pure
-        # function of the domain's own stream.
-        self._hazards[domain].commit(
-            self._times(hazard_data_at, request.is_read),
-            addr, request.is_read,
-        )
+        # slot, ``hazard_times``): conservative for every future gap
+        # check, and a pure function of the domain's own stream.
+        self._hazards[domain].commit(hazard_times, addr, is_read)
         injector = self.fault_injector
         # SECURITY: the fault key must be position-independent too —
         # ``data_at`` encodes the slot position (which depends on the
@@ -227,33 +225,26 @@ class ReorderedBpController(FsControllerBase):
             # domain's next interval.
             injector.record(
                 FaultKind.DROP_COMMAND, domain, data_at,
-                f"{request.kind.value} commands dropped; "
+                f"{kind.value} commands dropped; "
                 f"retrying next interval",
             )
             self.stats.faulted_slots += 1
-            if request.kind is RequestKind.DEMAND:
+            if kind is _DEMAND:
                 self._queues[domain].insert(0, request)
             self._trace(domain, release_at, "F")
             return
-        suppress = (
-            request.kind is RequestKind.DUMMY
-            and self.energy_options.suppress_dummies
-        )
-        if suppress:
+        if kind is _DUMMY and self.energy_options.suppress_dummies:
             request.suppressed = True
             self.stats.suppressed_dummies += 1
         else:
-            col_type = (
-                CommandType.COL_READ_AP if request.is_read
-                else CommandType.COL_WRITE_AP
-            )
             self._stage(Command(
-                CommandType.ACTIVATE, times.act, self.channel_id,
+                _ACTIVATE, times.act, self.channel_id,
                 addr.rank, addr.bank, addr.row, request.req_id, domain,
             ))
             self._stage(Command(
-                col_type, times.col, self.channel_id, addr.rank,
-                addr.bank, addr.row, request.req_id, domain,
+                _COL_READ_AP if is_read else _COL_WRITE_AP, times.col,
+                self.channel_id, addr.rank, addr.bank, addr.row,
+                request.req_id, domain,
             ))
         request.issue = times.first
         request.data_start = times.data
@@ -262,5 +253,5 @@ class ReorderedBpController(FsControllerBase):
         # The trace records the *interval*, not the slot position: slot
         # positions depend on co-runners' read/write mix, intervals do not.
         self._trace(domain, release_at, service_code(request))
-        if request.kind is RequestKind.DEMAND and request.is_read:
+        if kind is _DEMAND and is_read:
             self._schedule_release(request, release_at)

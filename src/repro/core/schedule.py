@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..dram.checker import TimingChecker, Violation
 from ..dram.commands import Command, CommandType
@@ -42,9 +44,12 @@ class SlotSpec:
     bank_mod: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CommandTimes:
-    """Absolute cycles of one transaction's commands."""
+class CommandTimes(NamedTuple):
+    """Absolute cycles of one transaction's commands.
+
+    A named tuple: one is built per dispatched FS transaction, and a
+    tuple costs well under a frozen dataclass to construct.
+    """
 
     act: int
     col: int
@@ -107,15 +112,16 @@ class FixedServiceSchedule:
                              + self.decision_lead))
         # Interval-0 tables; slot ``g`` of interval ``i`` adds
         # ``i * interval_length`` to entry ``g % slots_per_interval``.
+        #: Anchor cycle of each slot.
+        self.anchor_base = tuple(self.anchor(0, s) for s in self.slots)
         #: Decision cycle of each slot.
         self.decide_base = tuple(
-            self.anchor(0, s) + self.decision_lead for s in self.slots
+            a + self.decision_lead for a in self.anchor_base
         )
         #: End of the read-data burst each slot would produce: the
         #: earliest release a demand read served there can have.
         self.release_base = tuple(
-            self.anchor(0, s) + read_t.data + params.tBURST
-            for s in self.slots
+            a + read_t.data + params.tBURST for a in self.anchor_base
         )
 
     # ------------------------------------------------------------------
@@ -137,8 +143,7 @@ class FixedServiceSchedule:
         """Absolute ACT/column/data cycles for a transaction anchored at
         ``anchor``."""
         act, col, data = self._read_rel if is_read else self._write_rel
-        return CommandTimes(act=anchor + act, col=anchor + col,
-                            data=anchor + data)
+        return CommandTimes(anchor + act, anchor + col, anchor + data)
 
     def iter_slots(self, start_interval: int = 0
                    ) -> Iterator[Tuple[int, SlotSpec]]:

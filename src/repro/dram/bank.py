@@ -14,6 +14,11 @@ from typing import Optional
 from .commands import Command, CommandType
 from .timing import TimingParams
 
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_REFRESH = CommandType.REFRESH
+
 
 @dataclass
 class Bank:
@@ -92,7 +97,8 @@ class Bank:
         """
         p = self.params
         t = cmd.cycle
-        if cmd.type is CommandType.ACTIVATE:
+        ctype = cmd.type
+        if ctype is _ACTIVATE:
             self.open_row = cmd.row
             self.last_activate = t
             self.auto_precharge_at = None
@@ -100,14 +106,14 @@ class Bank:
             self.next_column = t + p.tRCD
             self.next_precharge = t + p.tRAS
             self.stat_activates += 1
-        elif cmd.type.is_column:
-            if cmd.type.is_read:
+        elif ctype.is_column:
+            if ctype.is_read:
                 # Read-to-precharge and auto-precharge bookkeeping.
                 pre_ready = t + p.tRTP
             else:
                 pre_ready = t + p.tCWD + p.tBURST + p.tWR
             self.next_precharge = max(self.next_precharge, pre_ready)
-            if cmd.type.auto_precharge:
+            if ctype.auto_precharge:
                 # The precharge engages as soon as it legally can.
                 auto_at = max(
                     pre_ready, self.last_activate + p.tRAS
@@ -117,11 +123,11 @@ class Bank:
                 self.next_activate = max(
                     self.next_activate, auto_at + p.tRP
                 )
-        elif cmd.type is CommandType.PRECHARGE:
+        elif ctype is _PRECHARGE:
             self.open_row = None
             self.auto_precharge_at = None
             self.next_activate = max(self.next_activate, t + p.tRP)
-        elif cmd.type is CommandType.REFRESH:
+        elif ctype is _REFRESH:
             # Refresh is issued to a precharged bank; it blocks everything
             # for tRFC.
             self.open_row = None
@@ -129,7 +135,7 @@ class Bank:
             self.next_activate = max(self.next_activate, t + p.tRFC)
             self.next_precharge = max(self.next_precharge, t + p.tRFC)
         else:
-            raise ValueError(f"bank cannot apply {cmd.type}")
+            raise ValueError(f"bank cannot apply {ctype}")
 
     @staticmethod
     def _check(t: int, earliest: int, cmd: Command) -> None:

@@ -204,13 +204,14 @@ class Channel:
         :meth:`issue`.
         """
         data_start: Optional[int] = None
-        if cmd.type.is_column:
-            offset = (
-                self.params.tCAS if cmd.type.is_read else self.params.tCWD
-            )
-            data_start = cmd.cycle + offset
-            self.stat_data_cycles += self.params.tBURST
-        self.ranks[cmd.rank].apply_trusted(cmd)
+        ctype = cmd.type
+        if ctype.is_column:
+            p = self.params
+            data_start = cmd.cycle + (p.tCAS if ctype.is_read else p.tCWD)
+            self.stat_data_cycles += p.tBURST
+        # Straight to the rank's state transition: no validation layer
+        # in between (the FS slot loop issues two commands per slot).
+        self.ranks[cmd.rank]._transition(cmd, False)
         self.stat_commands += 1
         if cmd.cycle > self.stat_last_activity:
             self.stat_last_activity = cmd.cycle

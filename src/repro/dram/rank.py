@@ -19,6 +19,13 @@ from .bank import Bank, TimingViolation
 from .commands import Command, CommandType
 from .timing import TimingParams
 
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_REFRESH = CommandType.REFRESH
+_PDN = CommandType.POWER_DOWN
+_PUP = CommandType.POWER_UP
+
 
 class PowerState(enum.Enum):
     """Rank power states (a subset of the DDR3 state machine)."""
@@ -26,6 +33,11 @@ class PowerState(enum.Enum):
     ACTIVE = "active"          # at least one bank open, clock on
     PRECHARGED = "precharged"  # all banks closed, clock on
     POWER_DOWN = "power_down"  # fast-exit precharge power-down
+
+
+_ACTIVE = PowerState.ACTIVE
+_PRECHARGED = PowerState.PRECHARGED
+_POWERED_DOWN = PowerState.POWER_DOWN
 
 
 @dataclass
@@ -148,61 +160,60 @@ class Rank:
                 raise TimingViolation("power-up while not powered down")
         self._transition(cmd, checked=True)
 
-    def apply_trusted(self, cmd: Command) -> None:
-        """State transition without the validation checks.
-
-        Used by the fast-path engine for command streams whose legality
-        was proved offline (the Fixed Service timetables).  Performs the
-        *same* state and energy updates as :meth:`apply`, in the same
-        order, so power-state residency and energy counters stay
-        bit-identical with the checked path.
-        """
-        self._transition(cmd, checked=False)
-
     def _transition(self, cmd: Command, checked: bool) -> None:
+        """Apply ``cmd``'s state and energy updates.
+
+        :meth:`apply` validates first and passes ``checked=True``;
+        :meth:`~repro.dram.channel.Channel.issue_trusted` calls this
+        directly with ``checked=False`` for command streams whose
+        legality was proved offline (the Fixed Service timetables).  Both
+        make the *same* updates in the same order, so power-state
+        residency and energy counters stay bit-identical across paths.
+        """
         t = cmd.cycle
-        if cmd.type is CommandType.ACTIVATE:
+        ctype = cmd.type
+        if ctype is _ACTIVATE:
             self._account_state(t)
             self._act_times.append(t)
             self._last_act = t
             self.energy.activates += 1
             bank = self.banks[cmd.bank]
             bank.apply(cmd) if checked else bank.apply_trusted(cmd)
-            self._enter(PowerState.ACTIVE, t)
-        elif cmd.type.is_column:
+            self._enter(_ACTIVE, t)
+        elif ctype.is_column:
             self._last_col = t
-            self._last_col_was_read = cmd.type.is_read
-            if cmd.type.is_read:
+            self._last_col_was_read = ctype.is_read
+            if ctype.is_read:
                 self.energy.reads += 1
             else:
                 self.energy.writes += 1
             bank = self.banks[cmd.bank]
             bank.apply(cmd) if checked else bank.apply_trusted(cmd)
-            if cmd.type.auto_precharge and not self.any_bank_open:
+            if ctype.auto_precharge and not self.any_bank_open:
                 self._account_state(t)
-                self._enter(PowerState.PRECHARGED, t)
-        elif cmd.type is CommandType.PRECHARGE:
+                self._enter(_PRECHARGED, t)
+        elif ctype is _PRECHARGE:
             bank = self.banks[cmd.bank]
             bank.apply(cmd) if checked else bank.apply_trusted(cmd)
             if not self.any_bank_open:
                 self._account_state(t)
-                self._enter(PowerState.PRECHARGED, t)
-        elif cmd.type is CommandType.REFRESH:
+                self._enter(_PRECHARGED, t)
+        elif ctype is _REFRESH:
             self._account_state(t)
             self.energy.refreshes += 1
             for bank in self.banks:
                 bank.apply(cmd) if checked else bank.apply_trusted(cmd)
-            self._enter(PowerState.PRECHARGED, t)
-        elif cmd.type is CommandType.POWER_DOWN:
+            self._enter(_PRECHARGED, t)
+        elif ctype is _PDN:
             self._account_state(t)
-            self._enter(PowerState.POWER_DOWN, t)
+            self._enter(_POWERED_DOWN, t)
             self._power_until = t + self.params.tCKE
-        elif cmd.type is CommandType.POWER_UP:
+        elif ctype is _PUP:
             self._account_state(t)
-            self._enter(PowerState.PRECHARGED, t)
+            self._enter(_PRECHARGED, t)
             self._power_until = t + self.params.tXP
         else:  # pragma: no cover - defensive
-            raise ValueError(f"rank cannot apply {cmd.type}")
+            raise ValueError(f"rank cannot apply {ctype}")
 
     @property
     def any_bank_open(self) -> bool:
@@ -223,11 +234,13 @@ class Rank:
         self._state_since = t
 
     def _account_state(self, t: int) -> None:
-        span = max(0, t - self._state_since)
-        if self.power_state is PowerState.ACTIVE:
-            self.energy.cycles_active += span
-        elif self.power_state is PowerState.PRECHARGED:
-            self.energy.cycles_precharged += span
-        else:
-            self.energy.cycles_power_down += span
+        span = t - self._state_since
+        if span > 0:
+            state = self.power_state
+            if state is _ACTIVE:
+                self.energy.cycles_active += span
+            elif state is _PRECHARGED:
+                self.energy.cycles_precharged += span
+            else:
+                self.energy.cycles_power_down += span
         self._state_since = t

@@ -140,6 +140,11 @@ class FaultPlan:
     def empty(self) -> bool:
         return not any(s.rate > 0 for s in self.specs)
 
+    def arms(self, kind: FaultKind) -> bool:
+        """Whether ``kind`` can strike at all (some spec gives it a
+        positive rate)."""
+        return any(s.kind is kind and s.rate > 0 for s in self.specs)
+
     def injector(self) -> "FaultInjector":
         """A fresh per-run injector for this plan."""
         return FaultInjector(self)

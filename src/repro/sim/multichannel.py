@@ -139,15 +139,15 @@ class MultiChannelFsController(MemoryController):
 
     def release_horizon(self) -> Optional[int]:
         """Earliest new-release bound across channels (see
-        :meth:`FixedServiceController.release_horizon`); ``None`` forces
-        the fast driver back to ``next_event`` granularity when any
-        sub-controller is faulted."""
+        :meth:`FixedServiceController.release_horizon`).  A channel
+        with queued work but no bound leaves the composite unbounded."""
         best: Optional[int] = None
         for controller in self._sub.values():
-            if controller.fault_injector is not None:
-                return None
             horizon = controller.release_horizon()
-            if horizon is not None and (best is None or horizon < best):
+            if horizon is None:
+                if controller.pending():
+                    return None
+            elif best is None or horizon < best:
                 best = horizon
         return best
 

@@ -1,5 +1,7 @@
 """Unit tests for command and request types."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.commands import (
@@ -79,8 +81,61 @@ class TestCommand:
 
     def test_frozen(self):
         cmd = Command(CommandType.ACTIVATE, 5, 0, 0)
-        with pytest.raises(Exception):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             cmd.cycle = 6  # type: ignore[misc]
+
+    def test_defaults_and_keywords(self):
+        cmd = Command(CommandType.REFRESH, 9, channel=1, rank=2)
+        assert (cmd.bank, cmd.row, cmd.request_id, cmd.domain) == \
+            (-1, -1, -1, -1)
+        assert Command(CommandType.ACTIVATE, 5, 0, 1, 2, 3, 4, 5) == \
+            Command(type=CommandType.ACTIVATE, cycle=5, channel=0, rank=1,
+                    bank=2, row=3, request_id=4, domain=5)
+
+    def test_value_equality(self):
+        a = Command(CommandType.ACTIVATE, 5, 0, 1, 2, 3, 4, 5)
+        assert a == Command(CommandType.ACTIVATE, 5, 0, 1, 2, 3, 4, 5)
+        assert a != Command(CommandType.ACTIVATE, 5, 0, 1, 2, 3, 4, 6)
+        assert a != Command(CommandType.COL_READ, 5, 0, 1, 2, 3, 4, 5)
+
+    def test_hashable_as_dict_key(self):
+        a = Command(CommandType.ACTIVATE, 5, 0, 1, 2, 3)
+        seen = {a: "first"}
+        twin = Command(CommandType.ACTIVATE, 5, 0, 1, 2, 3)
+        assert hash(twin) == hash(a)
+        assert seen[twin] == "first"
+        assert Command(CommandType.ACTIVATE, 6, 0, 1, 2, 3) not in seen
+
+    def test_repr_lists_every_field(self):
+        cmd = Command(CommandType.COL_READ_AP, 7, 0, 1, 2, 3, 4, 5)
+        assert repr(cmd) == (
+            "Command(type=<CommandType.COL_READ_AP: 'RDA'>, cycle=7, "
+            "channel=0, rank=1, bank=2, row=3, request_id=4, domain=5)"
+        )
+
+    def test_dataclasses_replace(self):
+        cmd = Command(CommandType.ACTIVATE, 5, 0, 1, 2, 3, 4, 5)
+        moved = dataclasses.replace(cmd, cycle=11)
+        assert moved == Command(CommandType.ACTIVATE, 11, 0, 1, 2, 3, 4, 5)
+        assert cmd.cycle == 5
+        with pytest.raises(ValueError):
+            dataclasses.replace(cmd, cycle=-1)
+
+
+class TestCommandTimes:
+    def test_first_is_earliest_command(self):
+        from repro.core.schedule import CommandTimes
+
+        assert CommandTimes(act=10, col=21, data=32).first == 10
+        assert CommandTimes(act=30, col=21, data=32).first == 21
+
+    def test_value_equality(self):
+        from repro.core.schedule import CommandTimes
+
+        times = CommandTimes(10, 21, 32)
+        assert times == CommandTimes(act=10, col=21, data=32)
+        assert times != CommandTimes(10, 21, 33)
+        assert (times.act, times.col, times.data) == (10, 21, 32)
 
 
 class TestOpType:

@@ -4,19 +4,28 @@ The fast engine must not change *how the system breaks*: for every fault
 model in :mod:`repro.faults`, a seeded campaign run under the fast engine
 strikes the same faults at the same cycles, triggers the same recovery,
 and ends with the same statistics, traces, and per-core results as the
-reference engine.  (Under fault injection the fast FS controllers
-renounce their release-horizon stride — the deliberately-broken
-borrow-foreign-slot recovery can complete requests at cycles the bound
-does not cover — and the driver falls back to ``next_event``
-granularity, so equivalence is exact rather than merely statistical.)
+reference engine.  Equivalence is exact rather than merely statistical:
+the composable faults (drop, duplicate, delay, refresh collision) only
+move a demand to a later slot of its own domain, so the FS controllers
+keep their closed-form release horizon and the fast driver still
+strides over dummy slots; queue overflow back-pressures a core, which
+drops the driver to ``next_event`` granularity.  Only a plan arming the
+deliberately-broken borrow-foreign-slot recovery gives the horizon up
+(a borrowed request completes in a foreign domain's slot, which the
+bound does not cover) and turns trusted issue off (the borrowed
+commands are not covered by the offline timetable proof).
 """
 
 import pytest
 
+from repro.dram.bank import TimingViolation
+from repro.dram.commands import OpType, Request
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.sim.runner import SchemeOptions
+from repro.sim.config import SystemConfig
+from repro.sim.runner import SchemeOptions, build_system
+from repro.workloads.spec import suite_specs
 
-from .engine_equivalence import assert_equivalent, run_both
+from .engine_equivalence import MAX_CYCLES, assert_equivalent, run_both
 
 
 def _plan(kind: FaultKind, rate: float = 0.08,
@@ -69,6 +78,18 @@ def test_triple_alternation_fault_recovery_equivalent():
     _check_faulted("fs_np_ta", FaultKind.DELAY_SLOT)
 
 
+@pytest.mark.parametrize(
+    "kind", [FaultKind.DROP_COMMAND, FaultKind.CORRUPT_TRACE]
+)
+def test_multichannel_fs_under_fault_plan_equivalent(kind):
+    """The multi-channel composite delegates its release horizon to its
+    per-channel controllers, with a fault plan armed.  Its builder does
+    not hand the plan to those controllers, so ``drop_command`` never
+    strikes here; trace corruption, which the runner applies to every
+    scheme, does."""
+    _check_faulted("fs_rp_mc", kind)
+
+
 def test_corrupt_trace_on_baseline_equivalent():
     """Trace corruption applies to every scheme, fast driver included."""
     _check_faulted("baseline", FaultKind.CORRUPT_TRACE)
@@ -101,3 +122,57 @@ def test_multi_fault_campaign_equivalent():
         "fs_rp", options=SchemeOptions(faults=plan), accesses=100
     )
     assert_equivalent(outcomes)
+
+
+def _faulted_controller(scheme: str, kind: FaultKind):
+    """A fast-engine controller under a one-kind plan, with one demand
+    queued for domain 0."""
+    config = SystemConfig(accesses_per_core=20, seed=0)
+    system = build_system(
+        scheme, config, suite_specs("mcf", config.num_cores),
+        SchemeOptions(faults=_plan(kind)), engine="fast",
+    )
+    controller = system.controller
+    address = system.partition.decode(0, 0)
+    controller.enqueue(Request(OpType.READ, address, domain=0, arrival=0))
+    return controller
+
+
+@pytest.mark.parametrize("scheme", ["fs_rp", "fs_reordered_bp"])
+def test_release_horizon_kept_without_borrow(scheme):
+    """A plan that cannot borrow a slot keeps the closed-form bound and
+    trusted issue."""
+    controller = _faulted_controller(scheme, FaultKind.DROP_COMMAND)
+    assert controller.release_horizon() is not None
+    assert controller.trusted_issue
+
+
+def test_release_horizon_dropped_under_borrow():
+    """Arming borrow-foreign-slot voids both the release bound and the
+    offline legality proof trusted issue relies on."""
+    controller = _faulted_controller(
+        "fs_rp", FaultKind.BORROW_FOREIGN_SLOT
+    )
+    assert controller.release_horizon() is None
+    assert not controller.trusted_issue
+    assert type(controller).trusted_issue  # the class default stands
+
+
+def test_borrow_on_shared_rank_rejected_by_both_engines():
+    """Without rank partitioning a borrowed transaction can break a
+    rank-level constraint the served domain's hazard tracker cannot
+    see.  The reference engine's checked issue rejects it; the fast
+    engine must reject the same command rather than apply it unchecked.
+    """
+    options = SchemeOptions(faults=_plan(FaultKind.BORROW_FOREIGN_SLOT))
+    messages = {}
+    for engine in ("reference", "fast"):
+        config = SystemConfig(accesses_per_core=80, seed=0)
+        system = build_system(
+            "fs_np_ta", config, suite_specs("mix1", config.num_cores),
+            options, engine=engine,
+        )
+        with pytest.raises(TimingViolation) as raised:
+            system.run(max_cycles=MAX_CYCLES)
+        messages[engine] = str(raised.value)
+    assert messages["fast"] == messages["reference"]

@@ -185,8 +185,8 @@ class TestTemplateCacheProperties:
     the same schedule object afterwards, to both engines.  Whatever
     random-but-consistent timing the solver is handed, the cached
     timetable must be *the same timetable* a fresh build produces, and
-    the command offsets and decide/release tables it precomputes must
-    equal the closed forms re-derived here from :func:`slot_timing`.
+    the command offsets and anchor/decide/release tables it precomputes
+    must equal the closed forms re-derived here from :func:`slot_timing`.
     """
 
     @staticmethod
@@ -205,6 +205,7 @@ class TestTemplateCacheProperties:
         earliest = min(min(t.act, t.col) for t in rel.values())
         for i, slot in enumerate(schedule.slots):
             anchor = schedule.lead + slot.anchor_offset
+            assert schedule.anchor_base[i] == anchor
             assert schedule.decide_base[i] == anchor + earliest
             assert schedule.release_base[i] == \
                 anchor + rel[True].data + params.tBURST
