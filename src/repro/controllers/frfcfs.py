@@ -13,29 +13,33 @@ ties prefer column commands, i.e. row hits, then age).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..dram.commands import (
-    Address,
-    Command,
-    CommandType,
-    OpType,
-    Request,
-    RequestKind,
-)
+from ..dram.commands import Command, CommandType, Request
 from ..dram.system import DramSystem
 from .base import MemoryController
 
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_COL_READ = CommandType.COL_READ
+_COL_WRITE = CommandType.COL_WRITE
 
-@dataclass
+
 class _Candidate:
-    issue_at: int
-    is_column: bool
-    arrival: int
-    command: Command
-    request: Optional[Request]
-    channel: int
+    """One bank's next command: its type, when it can issue, and the
+    transaction it serves.  The :class:`Command` itself is built only
+    when the candidate issues."""
+
+    __slots__ = ("issue_at", "is_column", "arrival", "type", "request")
+
+    def __init__(self, issue_at: int, is_column: bool, arrival: int,
+                 ctype: CommandType, request: Request) -> None:
+        self.issue_at = issue_at
+        self.is_column = is_column
+        self.arrival = arrival
+        self.type = ctype
+        self.request = request
 
     def sort_key(self) -> Tuple[int, int, int]:
         # Earliest first; at equal time prefer column commands (row hits),
@@ -70,6 +74,9 @@ class FrFcfsController(MemoryController):
         self._writes: List[List[Request]] = [[] for _ in range(nch)]
         self._draining: List[bool] = [False] * nch
         self._idle_hint: List[int] = [0] * nch
+        #: Transactions in the read and write queues, kept by
+        #: :meth:`enqueue` and :meth:`_issue_candidate`.
+        self._queued = 0
         #: Request ids we issued an ACTIVATE for (row-hit accounting).
         self._activated: set = set()
         self.refresh = refresh
@@ -100,13 +107,16 @@ class FrFcfsController(MemoryController):
             self._reads[ch].append(request)
         else:
             self._writes[ch].append(request)
+        self._queued += 1
         self._idle_hint[ch] = 0
 
     def pending(self, domain: Optional[int] = None) -> int:
+        if domain is None:
+            return self._queued
         count = 0
         for queue in self._reads + self._writes:
             for request in queue:
-                if domain is None or request.domain == domain:
+                if request.domain == domain:
                     count += 1
         return count
 
@@ -257,55 +267,48 @@ class FrFcfsController(MemoryController):
     def _next_command(self, ch: int, request: Request) -> _Candidate:
         channel = self.dram.channels[ch]
         addr = request.address
-        bank = channel.bank(addr.rank, addr.bank)
-        lower = max(self.now, request.arrival)
-        if bank.is_open and bank.is_row_hit(addr.row):
+        open_row = channel.ranks[addr.rank].banks[addr.bank].open_row
+        arrival = request.arrival
+        lower = self.now if self.now > arrival else arrival
+        if open_row is None:
+            t = channel.earliest_activate(lower, addr.rank, addr.bank)
+            return _Candidate(t, False, arrival, _ACTIVATE, request)
+        if open_row == addr.row:
+            is_read = request.is_read
             t = channel.earliest_column(
-                lower, addr.rank, addr.bank, request.is_read
+                lower, addr.rank, addr.bank, is_read
             )
-            cmd_type = (
-                CommandType.COL_READ if request.is_read
-                else CommandType.COL_WRITE
+            return _Candidate(
+                t, True, arrival, _COL_READ if is_read else _COL_WRITE,
+                request,
             )
-            cmd = Command(
-                cmd_type, t, ch, addr.rank, addr.bank, addr.row,
-                request.req_id, request.domain,
-            )
-            return _Candidate(t, True, request.arrival, cmd, request, ch)
-        if bank.is_open:
-            t = channel.earliest_precharge(lower, addr.rank, addr.bank)
-            cmd = Command(
-                CommandType.PRECHARGE, t, ch, addr.rank, addr.bank,
-                addr.row, request.req_id, request.domain,
-            )
-            return _Candidate(t, False, request.arrival, cmd, request, ch)
-        t = channel.earliest_activate(lower, addr.rank, addr.bank)
-        cmd = Command(
-            CommandType.ACTIVATE, t, ch, addr.rank, addr.bank, addr.row,
-            request.req_id, request.domain,
-        )
-        return _Candidate(t, False, request.arrival, cmd, request, ch)
+        t = channel.earliest_precharge(lower, addr.rank, addr.bank)
+        return _Candidate(t, False, arrival, _PRECHARGE, request)
 
     def _issue_candidate(self, ch: int, candidate: _Candidate) -> None:
         request = candidate.request
-        data_start = self._issue(candidate.command)
+        addr = request.address
+        cycle = candidate.issue_at
+        data_start = self._issue(Command(
+            candidate.type, cycle, ch, addr.rank, addr.bank, addr.row,
+            request.req_id, request.domain,
+        ))
         if not candidate.is_column:
-            if candidate.command.type is CommandType.ACTIVATE:
+            if candidate.type is _ACTIVATE:
                 # The transaction that forced the activate is a row miss.
-                assert request is not None
                 request.row_hit = False
                 self._activated.add(request.req_id)
             return
-        assert request is not None and data_start is not None
-        request.issue = candidate.command.cycle
+        assert data_start is not None
+        request.issue = cycle
         request.data_start = data_start
         request.completion = data_start + self.params.tBURST
         request.row_hit = request.req_id not in self._activated
         self._activated.discard(request.req_id)
         queue = self._reads[ch] if request.is_read else self._writes[ch]
         queue.remove(request)
+        self._queued -= 1
         self.stats.record_service(request)
-        self._trace(request.domain, candidate.command.cycle,
-                    "R" if request.is_read else "W")
+        self._trace(request.domain, cycle, "R" if request.is_read else "W")
         if request.is_read:
             self._schedule_release(request, request.completion)

@@ -29,6 +29,16 @@ from ..dram.system import DramSystem
 from ..dram.timing import TimingParams
 from .base import MemoryController
 
+_INF = float("inf")
+
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_COL_READ = CommandType.COL_READ
+_COL_WRITE = CommandType.COL_WRITE
+_COL_READ_AP = CommandType.COL_READ_AP
+_COL_WRITE_AP = CommandType.COL_WRITE_AP
+
 
 def default_dead_time(params: TimingParams, bank_partitioned: bool) -> int:
     """Minimal dead time for *exact* non-interference, derived from the
@@ -114,13 +124,15 @@ class TemporalPartitioningController(MemoryController):
         self._queues: Dict[int, List[Request]] = {
             d: [] for d in range(num_domains)
         }
-        self._idle_hint = 0
+        #: Earliest cycle at which a request the last scan turned away
+        #: only because of the scan's ``until`` could issue (inf when
+        #: none was); the fast engine memoizes it per turn.
+        self._unblock_at: float = _INF
 
     # ------------------------------------------------------------------
 
     def enqueue(self, request: Request) -> None:
         self._queues[request.domain].append(request)
-        self._idle_hint = 0
 
     def pending(self, domain: Optional[int] = None) -> int:
         if domain is not None:
@@ -149,7 +161,7 @@ class TemporalPartitioningController(MemoryController):
         for domain, queue in self._queues.items():
             if queue:
                 t = self.next_turn_start(domain, self.now)
-                upcoming.append(max(t, self.now + 1, self._idle_hint))
+                upcoming.append(max(t, self.now + 1))
         if self._release_heap:
             upcoming.append(max(self.now + 1, self._release_heap[0][0]))
         return min(upcoming) if upcoming else None
@@ -211,114 +223,120 @@ class TemporalPartitioningController(MemoryController):
     def _best_turn_command(
         self, domain: int, cursor: int, deadline: int, until: int
     ) -> Optional[Tuple[List[Command], Optional[Request]]]:
-        """FR-FCFS candidate selection within the domain's turn."""
-        queue = self._queues[domain]
+        """FR-FCFS candidate selection within the domain's turn.
+
+        Returns the winning bank's command(s) and the request they
+        serve (``None`` for a PRE or an open-page ACT), building
+        commands for that bank only.  Also leaves in ``_unblock_at`` the
+        earliest cycle at which a request rejected because of ``until``
+        would stop being rejected.
+        """
+        self._unblock_at = _INF
         per_bank: Dict[Tuple[int, int, int], List[Request]] = {}
         scanned = 0
-        for request in queue:
-            if request.arrival >= deadline or request.arrival > until:
+        for request in self._queues[domain]:
+            arrival = request.arrival
+            if arrival >= deadline:
+                continue
+            if arrival > until:
+                if arrival < self._unblock_at:
+                    self._unblock_at = arrival
                 continue
             scanned += 1
             if scanned > self.SCAN_DEPTH:
                 break
-            key = request.address.bank_key()
-            per_bank.setdefault(key, []).append(request)
-        best: Optional[Tuple[Tuple[int, int, int], List[Command],
-                             Optional[Request]]] = None
+            addr = request.address
+            key = (addr.channel, addr.rank, addr.bank)
+            requests = per_bank.get(key)
+            if requests is None:
+                per_bank[key] = [request]
+            else:
+                requests.append(request)
+        best = None
         for (ch, rank, bank_id), requests in per_bank.items():
             candidate = self._bank_candidate(
                 ch, rank, bank_id, requests, cursor, deadline, until
             )
-            if candidate is None:
-                continue
-            key, commands, request = candidate
-            if best is None or key < best[0]:
+            if candidate is not None and (
+                best is None or candidate[0] < best[0]
+            ):
                 best = candidate
         if best is None:
             return None
-        return best[1], best[2]
+        _, request, ctype, cycle, col_at = best
+        addr = request.address
+        first = Command(
+            ctype, cycle, addr.channel, addr.rank, addr.bank, addr.row,
+            request.req_id, request.domain,
+        )
+        if col_at is None:
+            return [first], (request if ctype.is_column else None)
+        # Closed page: the pair issues atomically, so no bank is ever
+        # left open across a turn boundary.
+        column = Command(
+            _COL_READ_AP if request.is_read else _COL_WRITE_AP, col_at,
+            addr.channel, addr.rank, addr.bank, addr.row,
+            request.req_id, request.domain,
+        )
+        return [first, column], request
 
     def _bank_candidate(
         self, ch: int, rank: int, bank_id: int, requests: List[Request],
         cursor: int, deadline: int, until: int,
-    ) -> Optional[Tuple[Tuple[int, int, int], List[Command],
-                        Optional[Request]]]:
+    ) -> Optional[Tuple[Tuple[int, int, int], Request, CommandType, int,
+                        Optional[int]]]:
         """Next command(s) for one bank's queued requests, deadline-gated.
 
-        Open-page mode steps command by command (PRE / ACT / row-hit
-        column); closed-page mode returns the whole ACT + auto-precharge
-        column pair atomically, so a row can never be left open into
+        Returns ``(sort key, request, command type, cycle, column
+        cycle)``.  Open-page mode steps command by command (PRE / ACT /
+        row-hit column) and the column cycle is ``None``; closed-page
+        mode plans the whole ACT + auto-precharge column pair, whose
+        column cycle is given, so a row can never be left open into
         another domain's turn.
         """
         channel = self.dram.channels[ch]
-        bank = channel.bank(rank, bank_id)
+        open_row = channel.ranks[rank].banks[bank_id].open_row
         request = requests[0]
-        if self.open_page and bank.is_open:
+        if self.open_page and open_row is not None:
             for candidate in requests:
-                if bank.is_row_hit(candidate.address.row):
+                if candidate.address.row == open_row:
                     request = candidate
                     break
-        addr = request.address
-        lower = max(cursor, request.arrival)
-        if bank.is_open:
-            if bank.is_row_hit(addr.row):
-                col_at = channel.earliest_column(
-                    lower, rank, bank_id, request.is_read
-                )
-                if col_at >= deadline or col_at > until:
-                    return None
-                if self.open_page:
-                    cmd_type = (
-                        CommandType.COL_READ if request.is_read
-                        else CommandType.COL_WRITE
-                    )
-                else:
-                    cmd_type = (
-                        CommandType.COL_READ_AP if request.is_read
-                        else CommandType.COL_WRITE_AP
-                    )
-                return (
-                    (0, col_at, request.arrival),
-                    [Command(cmd_type, col_at, ch, rank, bank_id,
-                             addr.row, request.req_id, request.domain)],
-                    request,
-                )
-            # Row conflict (open-page only): close the row first.
-            pre_at = channel.earliest_precharge(lower, rank, bank_id)
-            if pre_at >= deadline or pre_at > until:
-                return None
-            return (
-                (1, pre_at, request.arrival),
-                [Command(CommandType.PRECHARGE, pre_at, ch, rank,
-                         bank_id, addr.row, request.req_id,
-                         request.domain)],
-                None,
+        arrival = request.arrival
+        lower = cursor if cursor > arrival else arrival
+        if open_row is None:
+            ctype = _ACTIVATE
+            at = channel.earliest_activate(lower, rank, bank_id)
+        elif open_row == request.address.row:
+            if self.open_page:
+                ctype = _COL_READ if request.is_read else _COL_WRITE
+            else:
+                ctype = _COL_READ_AP if request.is_read else _COL_WRITE_AP
+            at = channel.earliest_column(
+                lower, rank, bank_id, request.is_read
             )
-        act_at = channel.earliest_activate(lower, rank, bank_id)
-        if act_at >= deadline or act_at > until:
+        else:
+            # Row conflict (open-page only): close the row first.
+            ctype = _PRECHARGE
+            at = channel.earliest_precharge(lower, rank, bank_id)
+        if at >= deadline:
             return None
+        if at > until:
+            if at < self._unblock_at:
+                self._unblock_at = at
+            return None
+        if ctype is not _ACTIVATE:
+            key = (0 if ctype.is_column else 1, at, arrival)
+            return key, request, ctype, at, None
         # The follow-up column must also fit this turn, else the ACT
         # would carry tFAW/tRRD state into the next turn for nothing.
         col_at = channel.earliest_column_after_planned_act(
-            act_at, rank, request.is_read
+            at, rank, request.is_read
         )
         if col_at >= deadline:
             return None
-        act_cmd = Command(
-            CommandType.ACTIVATE, act_at, ch, rank, bank_id,
-            addr.row, request.req_id, request.domain,
+        # Open page issues the ACT alone; its column follows as a row hit.
+        return (
+            (1, at, arrival), request, _ACTIVATE, at,
+            None if self.open_page else col_at,
         )
-        if self.open_page:
-            # Issue the ACT alone; its column follows as a row hit.
-            return ((1, act_at, request.arrival), [act_cmd], None)
-        # Closed page: the pair issues atomically, so no bank is ever
-        # left open across a turn boundary.
-        cmd_type = (
-            CommandType.COL_READ_AP if request.is_read
-            else CommandType.COL_WRITE_AP
-        )
-        col_cmd = Command(
-            cmd_type, col_at, ch, rank, bank_id, addr.row,
-            request.req_id, request.domain,
-        )
-        return ((1, act_at, request.arrival), [act_cmd, col_cmd], request)

@@ -23,7 +23,7 @@ from .commands import (
 )
 from .bank import Bank, TimingViolation
 from .rank import Rank, RankEnergyCounters, PowerState
-from .channel import Channel, DataReservation
+from .channel import Channel
 from .system import DramSystem
 from .refresh import RefreshScheduler, RefreshWindow
 from .checker import TimingChecker, Violation
@@ -41,7 +41,7 @@ __all__ = [
     "Address", "Command", "CommandType", "OpType", "Request", "RequestKind",
     "Bank", "TimingViolation",
     "Rank", "RankEnergyCounters", "PowerState",
-    "Channel", "DataReservation",
+    "Channel",
     "DramSystem",
     "RefreshScheduler", "RefreshWindow",
     "TimingChecker", "Violation",

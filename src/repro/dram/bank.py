@@ -77,11 +77,12 @@ class Bank:
         """Update bank state for a command issued at ``cmd.cycle``,
         validating the bank-level JEDEC constraints first."""
         t = cmd.cycle
-        if cmd.type is CommandType.ACTIVATE:
+        ctype = cmd.type
+        if ctype is _ACTIVATE:
             self._check(t, self.earliest_activate(t), cmd)
-        elif cmd.type.is_column:
-            self._check(t, self.earliest_column(t, cmd.type.is_read), cmd)
-        elif cmd.type is CommandType.PRECHARGE:
+        elif ctype.is_column:
+            self._check(t, self.earliest_column(t, ctype.is_read), cmd)
+        elif ctype is _PRECHARGE:
             self._check(t, self.earliest_precharge(t), cmd)
         self.apply_trusted(cmd)
 

@@ -10,22 +10,13 @@ applying, so an illegal schedule can never be silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, insort
+from typing import List, Optional, Set, Tuple
 
 from .bank import TimingViolation
-from .commands import Command, CommandType
+from .commands import Command
 from .rank import Rank
 from .timing import TimingParams
-
-
-@dataclass(frozen=True)
-class DataReservation:
-    """One burst on the data bus: [start, end) by ``rank``."""
-
-    start: int
-    end: int
-    rank: int
 
 
 class Channel:
@@ -49,8 +40,10 @@ class Channel:
         #: Cycles on which the command bus is occupied.
         self._cmd_bus: Set[int] = set()
         self._cmd_bus_horizon = 0  # cycles below this have been pruned
-        #: Outstanding/past data-bus reservations, kept sorted by start.
-        self._data: List[DataReservation] = []
+        #: Outstanding/past data-bus bursts as ``(start, rank)`` pairs,
+        #: sorted by start.  Every burst lasts ``tBURST``, so start order
+        #: is also end order.
+        self._data: List[Tuple[int, int]] = []
         self.stat_commands = 0
         self.stat_data_cycles = 0
         self.stat_last_activity = 0
@@ -67,54 +60,82 @@ class Channel:
             cycle += 1
         return cycle
 
-    def _reserve_cmd(self, cycle: int) -> None:
-        if cycle in self._cmd_bus:
-            raise TimingViolation(f"command bus conflict at cycle {cycle}")
-        self._cmd_bus.add(cycle)
-
     # ------------------------------------------------------------------
     # Data bus.
     # ------------------------------------------------------------------
 
     def data_conflict(self, start: int, rank: int) -> bool:
         """Would a burst [start, start+tBURST) by ``rank`` conflict?"""
-        end = start + self.params.tBURST
-        for res in self._data:
-            gap = 0 if res.rank == rank else self.params.tRTRS
-            if start < res.end + gap and res.start < end + gap:
-                return True
-        return False
+        return self.earliest_data_start(start, rank) != start
 
     def earliest_data_start(self, lower: int, rank: int) -> int:
-        """Smallest burst start >= ``lower`` with no data-bus conflict."""
+        """Smallest burst start >= ``lower`` with no data-bus conflict.
+
+        One forward pass over the bursts is exact.  Reserved bursts are
+        pairwise legal, so moving the start past a burst ``b`` (to its
+        end plus its gap) never lands in the conflict window of an
+        earlier burst ``a``: that needs ``a``'s gap to exceed ``b``'s by
+        more than ``b.start - a.start``, so ``a`` of another rank than
+        the query and ``b`` of the query's rank; but then ``a`` and
+        ``b`` are of different ranks and start at least
+        ``tBURST + tRTRS`` apart.
+        """
+        p = self.params
+        burst = p.tBURST
+        rtrs = p.tRTRS
+        data = self._data
+        if not data or lower >= data[-1][0] + burst + rtrs:
+            return lower
         start = lower
-        moved = True
-        while moved:
-            moved = False
-            end = start + self.params.tBURST
-            for res in self._data:
-                gap = 0 if res.rank == rank else self.params.tRTRS
-                if start < res.end + gap and res.start < end + gap:
-                    start = res.end + gap
-                    moved = True
-                    break
+        # Bursts starting at or before lower - tBURST - tRTRS cannot
+        # conflict with any start >= lower.
+        first = bisect_left(data, (lower - burst - rtrs + 1,))
+        for res_start, res_rank in data[first:]:
+            if res_start >= start + burst + rtrs:
+                break
+            gap = 0 if res_rank == rank else rtrs
+            if start < res_start + burst + gap and \
+                    res_start < start + burst + gap:
+                start = res_start + burst + gap
         return start
 
     def _reserve_data(self, start: int, rank: int) -> None:
         if self.data_conflict(start, rank):
             raise TimingViolation(f"data bus conflict at cycle {start}")
-        res = DataReservation(start, start + self.params.tBURST, rank)
-        self._data.append(res)
-        self._data.sort(key=lambda r: r.start)
+        insort(self._data, (start, rank))
         self.stat_data_cycles += self.params.tBURST
 
     def prune(self, before: int) -> None:
         """Drop bookkeeping that can no longer affect scheduling."""
-        margin = self.params.tRTRS + self.params.tBURST
-        self._data = [r for r in self._data if r.end + margin > before]
+        data = self._data
+        if data:
+            # A burst stops mattering once its end plus the widest
+            # separation (tRTRS + tBURST) lies at or before ``before``.
+            p = self.params
+            keep_from = before - 2 * p.tBURST - p.tRTRS + 1
+            if data[0][0] < keep_from:
+                del data[:bisect_left(data, (keep_from,))]
         if before > self._cmd_bus_horizon + 4096:
             self._cmd_bus = {c for c in self._cmd_bus if c >= before}
             self._cmd_bus_horizon = before
+
+    def align_column(self, t: int, rank: int, is_read: bool) -> int:
+        """Earliest cycle >= ``t`` at which a column command of ``rank``
+        finds the command bus free and its burst fits the data bus.
+
+        The one bus fit behind :meth:`earliest_column`,
+        :meth:`earliest_column_after_planned_act` and the FR-FCFS fast
+        path's candidate re-alignment.
+        """
+        p = self.params
+        offset = p.tCAS if is_read else p.tCWD
+        while True:
+            t = self.next_free_cmd_cycle(t)
+            data_start = self.earliest_data_start(t + offset, rank)
+            if data_start == t + offset:
+                return t
+            # Align the column command with the available data slot.
+            t = data_start - offset
 
     # ------------------------------------------------------------------
     # Earliest-issue queries for whole commands.
@@ -129,33 +150,22 @@ class Channel:
     ) -> int:
         """Earliest column-command cycle honouring rank timing, the command
         bus, and the data-bus slot its burst will need."""
-        p = self.params
-        offset = p.tCAS if is_read else p.tCWD
-        t = self.ranks[rank].earliest_column(now, bank, is_read)
-        while True:
-            t = self.next_free_cmd_cycle(t)
-            data_start = self.earliest_data_start(t + offset, rank)
-            if data_start == t + offset:
-                return t
-            # Align the column command with the available data slot.
-            t = data_start - offset
+        return self.align_column(
+            self.ranks[rank].earliest_column(now, bank, is_read),
+            rank, is_read,
+        )
 
     def earliest_column_after_planned_act(
         self, act_at: int, rank: int, is_read: bool
     ) -> int:
         """Earliest column cycle for a transaction whose ACTIVATE will
         issue at ``act_at`` but has not been applied yet."""
-        p = self.params
-        offset = p.tCAS if is_read else p.tCWD
-        t = self.ranks[rank].earliest_column_rank_level(
-            act_at + p.tRCD, is_read
+        return self.align_column(
+            self.ranks[rank].earliest_column_rank_level(
+                act_at + self.params.tRCD, is_read
+            ),
+            rank, is_read,
         )
-        while True:
-            t = self.next_free_cmd_cycle(t)
-            data_start = self.earliest_data_start(t + offset, rank)
-            if data_start == t + offset:
-                return t
-            t = data_start - offset
 
     def earliest_precharge(self, now: int, rank: int, bank: int) -> int:
         t = self.ranks[rank].earliest_precharge(now, bank)
@@ -174,24 +184,32 @@ class Channel:
         """
         if cmd.channel != self.channel_id:
             raise ValueError("command routed to the wrong channel")
-        self._reserve_cmd(cmd.cycle)
+        cycle = cmd.cycle
+        ctype = cmd.type
+        cmd_bus = self._cmd_bus
+        if cycle in cmd_bus:
+            raise TimingViolation(f"command bus conflict at cycle {cycle}")
+        cmd_bus.add(cycle)
         data_start: Optional[int] = None
-        if cmd.type.is_column:
-            offset = (
-                self.params.tCAS if cmd.type.is_read else self.params.tCWD
-            )
-            data_start = cmd.cycle + offset
+        if ctype.is_column:
+            p = self.params
+            data_start = cycle + (p.tCAS if ctype.is_read else p.tCWD)
             self._reserve_data(data_start, cmd.rank)
         self.ranks[cmd.rank].apply(cmd)
         self.stat_commands += 1
-        self.stat_last_activity = max(self.stat_last_activity, cmd.cycle)
+        if cycle > self.stat_last_activity:
+            self.stat_last_activity = cycle
         return data_start
 
     def issue_trusted(self, cmd: Command) -> Optional[int]:
         """Apply ``cmd`` without validation or bus bookkeeping.
 
-        For pre-validated fixed schedules only (:mod:`repro.sim.fastpath`):
-        the pipeline solver already proved the command stream free of
+        For pre-validated fixed schedules only.
+        ``MemoryController._issue`` routes here when the controller's
+        ``trusted_issue`` flag is set: the fast engine's FS controllers
+        set it, and ``FsControllerBase`` in :mod:`repro.core` clears it
+        on a controller whose fault plan arms a foreign-slot borrow.  The
+        pipeline solver already proved the command stream free of
         command-bus and data-bus conflicts, so the per-cycle bus
         reservations exist only to re-check that proof.  This path skips
         them while keeping every *observable* update (rank/bank state,

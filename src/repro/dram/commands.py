@@ -177,9 +177,10 @@ class Command:
     A frozen value object (equality, hashing, ``repr`` and
     ``dataclasses.replace`` are the generated ones).  ``__init__`` is
     written out because every FS slot builds two commands and the
-    FR-FCFS/TP schedulers one per candidate: filling the instance dict
-    directly costs about a third of the generated frozen ``__init__``,
-    which goes through ``object.__setattr__`` once per field.
+    FR-FCFS/TP schedulers one per issued command: filling the instance
+    dict directly costs about a third of the generated frozen
+    ``__init__``, which goes through ``object.__setattr__`` once per
+    field.
     """
 
     type: CommandType

@@ -74,6 +74,9 @@ class Rank:
         #: Last column command issue cycle and direction.
         self._last_col: int = -(10**9)
         self._last_col_was_read: bool = True
+        #: Column turnarounds, fixed by ``params``.
+        self._read_to_write = params.read_to_write
+        self._write_to_read = params.write_to_read
         self.power_state: PowerState = PowerState.PRECHARGED
         self._power_until: int = 0  # earliest cycle a command may issue
         self._state_since: int = 0
@@ -84,32 +87,56 @@ class Rank:
     # ------------------------------------------------------------------
 
     def earliest_activate(self, now: int, bank: int) -> int:
-        t = self.banks[bank].earliest_activate(now)
-        t = max(t, self._last_act + self.params.tRRD, self._power_until)
-        if len(self._act_times) == 4:
-            t = max(t, self._act_times[0] + self.params.tFAW)
+        b = self.banks[bank]
+        p = self.params
+        t = b.next_activate
+        if now > t:
+            t = now
+        if b.auto_precharge_at is not None:
+            auto = b.auto_precharge_at + p.tRP
+            if auto > t:
+                t = auto
+        rrd = self._last_act + p.tRRD
+        if rrd > t:
+            t = rrd
+        if self._power_until > t:
+            t = self._power_until
+        acts = self._act_times
+        if len(acts) == 4:
+            faw = acts[0] + p.tFAW
+            if faw > t:
+                t = faw
         return t
 
     def earliest_column_rank_level(self, now: int, is_read: bool) -> int:
         """Rank-level column bound only (tCCD / turnaround / power),
         ignoring per-bank state — for planning a column that will follow
         an activate not yet issued."""
-        t = max(now, self._power_until)
+        t = now
+        if self._power_until > t:
+            t = self._power_until
         if self._last_col_was_read == is_read:
-            gap = self.params.tCCD
+            col = self._last_col + self.params.tCCD
         elif is_read:
-            gap = self.params.write_to_read
+            col = self._last_col + self._write_to_read
         else:
-            gap = self.params.read_to_write
-        return max(t, self._last_col + gap)
+            col = self._last_col + self._read_to_write
+        return col if col > t else t
 
     def earliest_column(self, now: int, bank: int, is_read: bool) -> int:
-        t = self.banks[bank].earliest_column(now, is_read)
-        return self.earliest_column_rank_level(t, is_read)
+        b = self.banks[bank]
+        if b.open_row is None:
+            raise RuntimeError("column command to a closed bank")
+        t = b.next_column
+        return self.earliest_column_rank_level(
+            now if now > t else t, is_read
+        )
 
     def earliest_precharge(self, now: int, bank: int) -> int:
-        return max(self.banks[bank].earliest_precharge(now),
-                   self._power_until)
+        t = self.banks[bank].next_precharge
+        if now > t:
+            t = now
+        return t if t > self._power_until else self._power_until
 
     def earliest_refresh(self, now: int) -> int:
         """Refresh needs all banks precharged; report when that holds."""
@@ -132,33 +159,34 @@ class Rank:
     def apply(self, cmd: Command) -> None:
         """Validate the rank-level JEDEC constraints, then transition."""
         t = cmd.cycle
-        if cmd.type is CommandType.ACTIVATE:
+        ctype = cmd.type
+        if ctype is _ACTIVATE:
             lower = self.earliest_activate(t, cmd.bank)
             if t < lower:
                 raise TimingViolation(
                     f"ACT at {t} violates rank constraint "
                     f"(earliest {lower})"
                 )
-        elif cmd.type.is_column:
-            lower = self.earliest_column(t, cmd.bank, cmd.type.is_read)
+        elif ctype.is_column:
+            lower = self.earliest_column(t, cmd.bank, ctype.is_read)
             if t < lower:
                 raise TimingViolation(
-                    f"{cmd.type.value} at {t} violates rank constraint "
+                    f"{ctype.value} at {t} violates rank constraint "
                     f"(earliest {lower})"
                 )
-        elif cmd.type is CommandType.REFRESH:
+        elif ctype is _REFRESH:
             lower = self.earliest_refresh(t)
             if t < lower:
                 raise TimingViolation(
                     f"REF at {t} violates rank constraint (earliest {lower})"
                 )
-        elif cmd.type is CommandType.POWER_DOWN:
+        elif ctype is _PDN:
             if self.any_bank_open:
                 raise TimingViolation("power-down with open banks")
-        elif cmd.type is CommandType.POWER_UP:
-            if self.power_state is not PowerState.POWER_DOWN:
+        elif ctype is _PUP:
+            if self.power_state is not _POWERED_DOWN:
                 raise TimingViolation("power-up while not powered down")
-        self._transition(cmd, checked=True)
+        self._transition(cmd, True)
 
     def _transition(self, cmd: Command, checked: bool) -> None:
         """Apply ``cmd``'s state and energy updates.

@@ -26,7 +26,10 @@ were proved offline.  This module exploits that determinism:
 * :class:`FastFrFcfsController` / :class:`FastTpController` — the
   non-fixed schedulers keep full validation (their schedules are *not*
   precomputed) but cache scheduling candidates between decisions, with
-  event-based invalidation.
+  event-based invalidation.  A candidate carries its command type and
+  cycle; like the reference controllers they share that code with,
+  they build a :class:`~repro.dram.commands.Command` only for the
+  command that issues, and ``pending()`` is a running count.
 
 Equivalence argument (why the fast engine is *observationally
 identical*, not approximately so):
@@ -72,7 +75,9 @@ from ..errors import SimTimeoutError
 from .multichannel import MultiChannelFsController
 from .system import RunResult, System
 
-_INF = float("inf")
+# Hot-path Enum members as module constants (see repro.dram.commands).
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
 
 # ----------------------------------------------------------------------
 # Fast Fixed Service controllers (trusted issue).
@@ -221,7 +226,7 @@ class FastFrFcfsController(FrFcfsController):
         request = candidate.request
         was_column = candidate.is_column
         super()._issue_candidate(ch, candidate)
-        if was_column and request is not None:
+        if was_column:
             key = (
                 0 if request.is_read else 1,
                 request.address.rank, request.address.bank,
@@ -251,7 +256,7 @@ class FastFrFcfsController(FrFcfsController):
         ch = command.channel
         dead = []
         shifted = []
-        if ctype is CommandType.ACTIVATE:
+        if ctype is _ACTIVATE:
             # Exact new rank-level ACT bounds introduced by this command:
             # the pairwise tRRD gap, and — only when the rank now has a
             # full four-activate window — the sliding tFAW bound, which
@@ -265,8 +270,7 @@ class FastFrFcfsController(FrFcfsController):
             for key, (_, cand) in cands.items():
                 if key[1] == rank and (
                     key[2] == bank or (
-                        cand.command.type is CommandType.ACTIVATE
-                        and cand.issue_at < horizon
+                        cand.type is _ACTIVATE and cand.issue_at < horizon
                     )
                 ):
                     dead.append(key)
@@ -287,7 +291,7 @@ class FastFrFcfsController(FrFcfsController):
                 if key[1] == rank and key[2] == bank:
                     dead.append(key)
                 elif cand.is_column:
-                    cand_read = cand.command.type.is_read
+                    cand_read = cand.type.is_read
                     horizon = (
                         same_horizon if cand_read == issued_read
                         else flip_horizon
@@ -310,7 +314,7 @@ class FastFrFcfsController(FrFcfsController):
                             shifted.append(key)
                 elif cand.issue_at == cycle:
                     shifted.append(key)
-        elif ctype is CommandType.PRECHARGE:
+        elif ctype is _PRECHARGE:
             for key, (_, cand) in cands.items():
                 if key[1] == rank and key[2] == bank:
                     dead.append(key)
@@ -324,9 +328,7 @@ class FastFrFcfsController(FrFcfsController):
                 if key[1] == rank or cand.issue_at == cycle:
                     dead.append(key)
                 elif data_start is not None and cand.is_column:
-                    offset = (
-                        p.tCAS if cand.command.type.is_read else p.tCWD
-                    )
+                    offset = p.tCAS if cand.type.is_read else p.tCWD
                     if abs(cand.issue_at + offset - data_start) < margin:
                         dead.append(key)
         if dead:
@@ -361,26 +363,13 @@ class FastFrFcfsController(FrFcfsController):
         """
         entry = cands[key]
         cand = entry[1]
-        cmd = cand.command
         channel = self.dram.channels[ch]
-        t = cand.issue_at
         if cand.is_column:
-            p = self.params
-            offset = p.tCAS if cmd.type.is_read else p.tCWD
-            while True:
-                t = channel.next_free_cmd_cycle(t)
-                ds = channel.earliest_data_start(t + offset, cmd.rank)
-                if ds == t + offset:
-                    break
-                t = ds - offset
+            t = channel.align_column(cand.issue_at, key[1], cand.type.is_read)
         else:
-            t = channel.next_free_cmd_cycle(t)
+            t = channel.next_free_cmd_cycle(cand.issue_at)
         if t != cand.issue_at:
             cand.issue_at = t
-            cand.command = Command(
-                cmd.type, t, cmd.channel, cmd.rank, cmd.bank, cmd.row,
-                cmd.request_id, cmd.domain,
-            )
             old_key = entry[0]
             entry = ((t, old_key[1], old_key[2], old_key[3]), cand)
             cands[key] = entry
@@ -445,7 +434,8 @@ class FastTpController(TemporalPartitioningController):
     remembers, per (turn, domain, queue version), the earliest cycle at
     which anything could newly become issuable — the minimum over the
     issue times that exceeded the last horizon and the arrivals of not-
-    yet-visible requests — and skips the rescan entirely below it.
+    yet-visible requests, which the shared scan leaves in
+    ``_unblock_at`` — and skips the rescan entirely below it.
     Decisions are bit-identical: within the memoized window the scanned
     request set and every (flat) earliest-time query are provably
     unchanged.
@@ -469,7 +459,6 @@ class FastTpController(TemporalPartitioningController):
             d: 0 for d in range(self.num_domains)
         }
         self._turn_memo: Optional[Tuple[int, int, int, float]] = None
-        self._memo_hint: float = _INF
         self._pending_total = 0
 
     def enqueue(self, request: Request) -> None:
@@ -565,125 +554,8 @@ class FastTpController(TemporalPartitioningController):
         self._pending_total -= before - len(queue)
         if queue:
             self._turn_memo = (
-                turn_index, domain, self._qver[domain], self._memo_hint
+                turn_index, domain, self._qver[domain], self._unblock_at
             )
-
-    def _best_turn_command(self, domain: int, cursor: int, deadline: int,
-                           until: int):
-        # Reference logic plus blocked-horizon collection: every place
-        # the reference rejects a request *because of ``until``* records
-        # the cycle at which that rejection would flip.
-        self._memo_hint = _INF
-        queue = self._queues[domain]
-        per_bank: Dict[Tuple[int, int, int], List[Request]] = {}
-        scanned = 0
-        for request in queue:
-            if request.arrival >= deadline:
-                continue
-            if request.arrival > until:
-                if request.arrival < self._memo_hint:
-                    self._memo_hint = request.arrival
-                continue
-            scanned += 1
-            if scanned > self.SCAN_DEPTH:
-                break
-            key = request.address.bank_key()
-            per_bank.setdefault(key, []).append(request)
-        best = None
-        for (ch, rank, bank_id), requests in per_bank.items():
-            candidate = self._bank_candidate(
-                ch, rank, bank_id, requests, cursor, deadline, until
-            )
-            if candidate is None:
-                continue
-            if best is None or candidate[0] < best[0]:
-                best = candidate
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    def _note_blocked(self, cycle: int) -> None:
-        if cycle < self._memo_hint:
-            self._memo_hint = cycle
-
-    def _bank_candidate(self, ch: int, rank: int, bank_id: int,
-                        requests: List[Request], cursor: int,
-                        deadline: int, until: int):
-        channel = self.dram.channels[ch]
-        bank = channel.bank(rank, bank_id)
-        request = requests[0]
-        if self.open_page and bank.is_open:
-            for candidate in requests:
-                if bank.is_row_hit(candidate.address.row):
-                    request = candidate
-                    break
-        addr = request.address
-        lower = max(cursor, request.arrival)
-        if bank.is_open:
-            if bank.is_row_hit(addr.row):
-                col_at = channel.earliest_column(
-                    lower, rank, bank_id, request.is_read
-                )
-                if col_at >= deadline:
-                    return None
-                if col_at > until:
-                    self._note_blocked(col_at)
-                    return None
-                if self.open_page:
-                    cmd_type = (
-                        CommandType.COL_READ if request.is_read
-                        else CommandType.COL_WRITE
-                    )
-                else:
-                    cmd_type = (
-                        CommandType.COL_READ_AP if request.is_read
-                        else CommandType.COL_WRITE_AP
-                    )
-                return (
-                    (0, col_at, request.arrival),
-                    [Command(cmd_type, col_at, ch, rank, bank_id,
-                             addr.row, request.req_id, request.domain)],
-                    request,
-                )
-            pre_at = channel.earliest_precharge(lower, rank, bank_id)
-            if pre_at >= deadline:
-                return None
-            if pre_at > until:
-                self._note_blocked(pre_at)
-                return None
-            return (
-                (1, pre_at, request.arrival),
-                [Command(CommandType.PRECHARGE, pre_at, ch, rank,
-                         bank_id, addr.row, request.req_id,
-                         request.domain)],
-                None,
-            )
-        act_at = channel.earliest_activate(lower, rank, bank_id)
-        if act_at >= deadline:
-            return None
-        if act_at > until:
-            self._note_blocked(act_at)
-            return None
-        col_at = channel.earliest_column_after_planned_act(
-            act_at, rank, request.is_read
-        )
-        if col_at >= deadline:
-            return None
-        act_cmd = Command(
-            CommandType.ACTIVATE, act_at, ch, rank, bank_id,
-            addr.row, request.req_id, request.domain,
-        )
-        if self.open_page:
-            return ((1, act_at, request.arrival), [act_cmd], None)
-        cmd_type = (
-            CommandType.COL_READ_AP if request.is_read
-            else CommandType.COL_WRITE_AP
-        )
-        col_cmd = Command(
-            cmd_type, col_at, ch, rank, bank_id, addr.row,
-            request.req_id, request.domain,
-        )
-        return ((1, act_at, request.arrival), [act_cmd, col_cmd], request)
 
 
 # ----------------------------------------------------------------------
