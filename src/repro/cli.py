@@ -325,11 +325,13 @@ def cmd_run(args) -> int:
         print(injector.summary())
     monitor = system.controller.monitor
     if monitor is not None:
+        listed = monitor.violations[:10]
         status = "CLEAN" if monitor.ok else (
-            f"{len(monitor.violations)} violation(s)"
+            f"{monitor.total_violations} violation(s), "
+            f"{len(listed)} listed"
         )
         print(f"\nonline invariant monitor: {status}")
-        for violation in monitor.violations[:10]:
+        for violation in listed:
             print(f"  {violation}")
         if not monitor.ok:
             return 1

@@ -6,9 +6,11 @@ counterpart; the checker must flag exactly the former.
 
 import pytest
 
+from repro.core.online_monitor import OnlineInvariantMonitor
 from repro.dram.checker import TimingChecker
 from repro.dram.commands import Command, CommandType
 from repro.dram.timing import DDR3_1600_X4
+from repro.errors import ScheduleViolationError
 
 P = DDR3_1600_X4
 
@@ -84,6 +86,20 @@ class TestBankRules:
                                     row=2),
         ])
         assert "tRP(auto)" in rules(v) or "tRC" in rules(v)
+
+    def test_flags_activate_into_precharge_without_activate(self, checker):
+        # A PRE with no ACT before it still opens a tRP window; the
+        # violation names that PRE, so it prints and a strict monitor
+        # raises the structured error.
+        pre = Command(CommandType.PRECHARGE, 0, 0, 0, 0)
+        stream = [pre, act(P.tRP - 1)]
+        (v,) = checker.check(stream)
+        assert v.rule == "tRP(auto)" and v.first == pre
+        assert "PRE@0 -> ACT@" in str(v)
+        monitor = OnlineInvariantMonitor(P, strict=True)
+        monitor.observe_command(stream[0])
+        with pytest.raises(ScheduleViolationError, match="tRP"):
+            monitor.observe_command(stream[1])
 
     def test_accepts_write_turnaround(self, checker):
         cmds = [

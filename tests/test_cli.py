@@ -58,3 +58,30 @@ class TestCommands:
     def test_covert_fs(self, capsys):
         assert main(["covert", "fs_rp", "--accesses", "80"]) == 0
         assert "bit error rate" in capsys.readouterr().out
+
+    def test_run_monitor_prints_exact_total(self, capsys, monkeypatch):
+        """The status line counts every violation, not just the ones
+        the monitor keeps (``max_recorded``)."""
+        from repro.core.online_monitor import OnlineInvariantMonitor
+        from repro.sim import runner
+
+        monitors = []
+
+        def small_monitor(*args, **kwargs):
+            monitor = OnlineInvariantMonitor(*args, max_recorded=3,
+                                             **kwargs)
+            monitors.append(monitor)
+            return monitor
+
+        monkeypatch.setattr(runner, "OnlineInvariantMonitor", small_monitor)
+        assert main([
+            "run", "fs_rp", "mcf", "--cores", "4", "--accesses", "80",
+            "--monitor", "--inject", "borrow_foreign_slot:0.2",
+        ]) == 1
+        out = capsys.readouterr().out
+        (monitor,) = monitors
+        assert monitor.total_violations > len(monitor.violations) == 3
+        assert (
+            f"online invariant monitor: {monitor.total_violations} "
+            f"violation(s), 3 listed" in out
+        )

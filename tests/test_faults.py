@@ -11,17 +11,24 @@ The three acceptance properties from the robustness milestone:
     caught by the watchdog the cycle it happens, with a structured
     :class:`ScheduleViolationError` naming domain and cycle.
 
-Plus: online/offline checker parity on perturbed command streams, and
-sweep checkpoint/resume reproducing an interrupted grid exactly.
+Plus: the offline replays and the live monitor flag the same violations
+on perturbed command streams and service traces, and sweep
+checkpoint/resume reproduces an interrupted grid exactly.
 """
 
 import dataclasses
+import functools
 import json
 import random
 
 import pytest
 
-from repro.core.invariants import assert_non_interference
+from repro.core.invariants import (
+    InvariantViolation,
+    assert_non_interference,
+    check_constant_service,
+    check_schedule_conformance,
+)
 from repro.core.online_monitor import OnlineInvariantMonitor
 from repro.dram.checker import TimingChecker, Violation
 from repro.dram.timing import DDR3_1600_X4
@@ -342,29 +349,55 @@ class TestWatchdogCatchesBrokenRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Online monitor == offline TimingChecker on perturbed command streams.
+# One rule set, two feeds: offline replays and the live monitor agree.
 # ---------------------------------------------------------------------------
+
+
+def _project(command):
+    return (command.cycle, command.type.value, command.channel,
+            command.rank, command.bank)
 
 
 def _timing_signature(violations):
     return sorted(
-        (v.rule, v.required_gap, v.actual_gap)
+        (v.rule, _project(v.first), _project(v.second),
+         v.required_gap, v.actual_gap)
         for v in violations if isinstance(v, Violation)
     )
 
 
-class TestCheckerParity:
-    def _command_log(self):
-        config = small_config(accesses=80)
-        system = build_system(
-            "fs_rp", config, suite_specs("mcf", config.num_cores),
-            SchemeOptions(log_commands=True),
-        )
-        system.run()
-        return system.controller.command_log
+def _service_signature(violations):
+    return sorted(
+        (v.domain, v.cycle, v.reason)
+        for v in violations if isinstance(v, InvariantViolation)
+    )
 
+
+#: Runs whose command logs cover ACT, column, PRE and REF commands with
+#: closed and open pages: (scheme, refresh).
+LOGS = {
+    "fs_rp": ("fs_rp", False),
+    "fs_rp+refresh": ("fs_rp", True),
+    "baseline+refresh": ("baseline", True),
+    "tp_bp": ("tp_bp", False),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _logged_run(log):
+    scheme, refresh = LOGS[log]
+    config = small_config(accesses=80)
+    system = build_system(
+        scheme, config, suite_specs("mcf", config.num_cores),
+        SchemeOptions(log_commands=True, refresh=refresh),
+    )
+    system.run()
+    return system.controller
+
+
+class TestCheckerParity:
     def _replay(self, commands):
-        """Feed the same stream to both checkers; return signatures."""
+        """Replay one stream offline and feed it live; return signatures."""
         ordered = sorted(commands, key=lambda c: (c.cycle, c.type.value))
         offline = TimingChecker(DDR3_1600_X4).check(ordered)
         monitor = OnlineInvariantMonitor(DDR3_1600_X4)
@@ -374,17 +407,44 @@ class TestCheckerParity:
         return _timing_signature(offline), \
             _timing_signature(monitor.violations)
 
-    def test_clean_stream_is_clean_for_both(self):
-        log = self._command_log()
-        assert log, "expected a non-empty command log"
-        offline, online = self._replay(log)
-        assert offline == [] and online == []
+    def _replay_service(self, schedule, trace):
+        """Replay one service trace offline and feed it live; return
+        signatures."""
+        offline = (
+            check_schedule_conformance(schedule, trace)
+            + check_constant_service(schedule, trace)
+        )
+        monitor = OnlineInvariantMonitor(DDR3_1600_X4, schedule=schedule)
+        for cycle, domain, kind in sorted(
+            (cycle, domain, kind)
+            for domain, events in trace.items() for cycle, kind in events
+        ):
+            monitor.observe_service(domain, cycle, kind)
+        monitor.finalize()
+        return _service_signature(offline), \
+            _service_signature(monitor.violations)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_perturbed_streams_flag_identically(self, seed):
-        log = self._command_log()
+    def test_clean_stream_is_clean_for_both(self):
+        for log in LOGS:
+            commands = _logged_run(log).command_log
+            assert commands, f"expected a non-empty {log} command log"
+            offline, online = self._replay(commands)
+            assert offline == [] and online == [], log
+        ctrl = _logged_run("fs_rp")
+        assert self._replay_service(
+            ctrl.schedule, ctrl.service_trace
+        ) == ([], [])
+
+    # The fs_rp cases keep their bare seed ids.
+    @pytest.mark.parametrize("log, seed", [
+        pytest.param(
+            log, seed, id=str(seed) if log == "fs_rp" else f"{log}-{seed}"
+        )
+        for log in LOGS for seed in range(6)
+    ])
+    def test_perturbed_streams_flag_identically(self, log, seed):
         rng = random.Random(seed)
-        commands = list(log)
+        commands = list(_logged_run(log).command_log)
         # Shift a handful of commands by small deltas: enough to break
         # tCCD/tRCD/data-bus pitch without degenerating the stream.
         for _ in range(4):
@@ -395,6 +455,34 @@ class TestCheckerParity:
                 victim, cycle=max(0, victim.cycle + delta)
             )
         offline, online = self._replay(commands)
+        assert offline, "the perturbation should break a rule"
+        assert online == offline
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_service_traces_flag_identically(self, seed):
+        ctrl = _logged_run("fs_rp")
+        rng = random.Random(seed)
+        trace = {d: list(events) for d, events in ctrl.service_trace.items()}
+        domains = sorted(trace)
+        for _ in range(3):
+            domain = rng.choice([d for d in domains if trace[d]])
+            events = trace[domain]
+            index = rng.randrange(len(events))
+            cycle, kind = events[index]
+            action = rng.choice(["shift", "repeat", "drop", "move"])
+            if action == "shift":      # off the domain's anchors
+                events[index] = (cycle + rng.choice([-3, -1, 1, 2]), kind)
+            elif action == "repeat":   # one slot served twice
+                events.insert(index, (cycle, kind))
+            elif action == "drop":     # starve the domain
+                del events[index:]
+            else:                      # a foreign domain takes the slot
+                del events[index]
+                trace[(domain + 1) % len(domains)].append((cycle, kind))
+        for events in trace.values():
+            events.sort(key=lambda event: event[0])
+        offline, online = self._replay_service(ctrl.schedule, trace)
+        assert offline, "the perturbation should break an invariant"
         assert online == offline
 
 
