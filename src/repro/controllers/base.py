@@ -111,10 +111,15 @@ class ControllerStats:
 class MemoryController(abc.ABC):
     """Base class: request queues, command log, release plumbing."""
 
-    #: Issue through :meth:`~repro.dram.channel.Channel.issue_trusted`,
-    #: skipping per-command JEDEC re-validation.  Only for controllers
-    #: whose command stream was proved legal offline (the FS timetables);
-    #: logging, the online monitor and telemetry still see every command.
+    #: Skip per-command JEDEC re-validation.  Only for controllers whose
+    #: command stream was proved legal offline (the FS timetables; a
+    #: controller clears it on its instance when that proof does not
+    #: cover it).  A trusted FS controller with a command log, online
+    #: monitor or telemetry session issues each command through
+    #: :meth:`~repro.dram.channel.Channel.issue_trusted`, so they still
+    #: see every command; one that nothing observes settles its DRAM
+    #: counters in closed form instead (see
+    #: :class:`~repro.core.fs_controller.FsControllerBase`).
     trusted_issue = False
 
     def __init__(

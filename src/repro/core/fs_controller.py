@@ -15,8 +15,9 @@ optimization (whose bank restrictions ride in on the schedule's
 :attr:`~repro.core.schedule.SlotSpec.bank_mod`).  Reordered bank
 partitioning lives in :mod:`repro.core.fs_reordered`; both controllers
 build on :class:`FsControllerBase`, which owns the per-domain state, the
-staged-command heap and the one loop that interleaves timetable
-decisions with staged commands.
+one loop over timetable decisions, and the two ways a decision's
+commands reach the DRAM model: staged and issued one by one, or
+recorded and settled in closed form.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ _READ = OpType.READ
 _DEMAND = RequestKind.DEMAND
 _PREFETCH = RequestKind.PREFETCH
 _DUMMY = RequestKind.DUMMY
+
+
+class _Unchosen:
+    """``FsControllerBase._ledger`` before the first ``_work`` picks a
+    path: falsy, like a ledger with nothing on it."""
+
+    def __bool__(self) -> bool:
+        return False
+
+
+_UNCHOSEN = _Unchosen()
 
 
 class PrefetchBuffer:
@@ -101,13 +113,31 @@ def service_code(request: Request) -> str:
 class FsControllerBase(MemoryController):
     """What every FS controller shares.
 
-    Per-domain queues, self-hazard trackers and dummy streams; the
-    staged-command heap; and :meth:`_work`, the single loop that takes
-    timetable decisions and staged commands in time order.  Subclasses
+    Per-domain queues, self-hazard trackers and dummy streams, and
+    :meth:`_work`, the single loop over timetable decisions.  Subclasses
     declare their timetable as tables: decision ``g`` (a slot, or a
     whole interval) is taken at ``decide_base[g % len(decide_base)]``
     plus ``period`` per completed round of the table.  They serve each
-    decision in :meth:`_decide`.
+    decision in :meth:`_decide` and hand its commands to
+    :meth:`_stage_transaction` / :meth:`_stage_rank_command`.
+
+    Those commands take one of two paths, chosen at the first
+    :meth:`_work` from what the controller can see then:
+
+    * **Per command.**  Commands go on a staged heap and ``_work``
+      issues them in time order between decisions, through the checked
+      channel path or, with ``trusted_issue``, through
+      :meth:`~repro.dram.channel.Channel.issue_trusted`.  This is the
+      reference engine's path, and the path of any controller with a
+      command log, online monitor or telemetry session attached.
+    * **Closed form.**  A trusted controller that nothing observes
+      command by command only records each transaction as ``(ACT
+      cycle, column cycle, rank, is_read)`` and each REF/PDN/PUP as
+      ``(cycle, cycle, rank, type)`` on a ledger heap; ``_work`` is a
+      loop over decisions alone, and
+      :meth:`~repro.dram.channel.Channel.settle_trusted` folds the
+      records ``now`` has passed into the same counters the per-command
+      path produces.  :meth:`settle_ledger` folds the rest at the end.
     """
 
     #: How deep to scan a domain's queue for a legal transaction when the
@@ -156,10 +186,18 @@ class FsControllerBase(MemoryController):
             d: DummyGenerator(d, partition, channel)
             for d in range(num_domains)
         }
-        #: Staged commands, applied to the channel in time order.
+        #: Staged commands, applied to the channel in time order (the
+        #: per-command path).
         self._staged: List[Tuple[int, int, Command]] = []
         self._stage_seq = itertools.count()
         self._last_issued_key: Optional[Tuple] = None
+        #: Closed-form ledger (see the class docstring): a heap of
+        #: records, ``None`` on the per-command path, ``_UNCHOSEN``
+        #: until the first ``_work``.
+        self._ledger = _UNCHOSEN
+        #: ACT cycles of duplicated ACTs on the closed form, counted as
+        #: squashed once ``now`` passes them.
+        self._duplicate_acts: List[int] = []
         #: Decision cycles of one round of the timetable, and the cycles
         #: each round adds.
         self._decide_base = tuple(decide_base)
@@ -202,10 +240,18 @@ class FsControllerBase(MemoryController):
 
     def next_event(self) -> Optional[int]:
         """FS always has a next decision; report the sooner of it, the
-        next staged command, and the next release."""
+        next command not yet issued, and the next release."""
         candidates = [self._next_offset + self._decide_base[self._next_pos]]
         if self._staged:
             candidates.append(self._staged[0][0])
+        elif self._ledger:
+            # The closed form stops where the per-command path would:
+            # at the next ACT or column after ``now``.
+            now = self.now
+            for start, done, _, _ in self._ledger:
+                t = start if start > now else done
+                if t > now:
+                    candidates.append(t)
         if self._release_heap:
             candidates.append(self._release_heap[0][0])
         return max(self.now + 1, min(candidates))
@@ -217,7 +263,69 @@ class FsControllerBase(MemoryController):
             self._release_heap or any(self._queues.values())
         )
 
+    def _choose_path(self) -> Optional[list]:
+        """Settle in closed form exactly when the commands are trusted
+        and nothing observes them one by one."""
+        closed = self.trusted_issue and not self.log_commands and (
+            self.monitor is None and self.telemetry is None
+        )
+        self._ledger = [] if closed else None
+        return self._ledger
+
+    def _stage_ahead(self, until: int) -> None:
+        """Stage the commands the timetable fixes ahead of any decision
+        up to about ``until`` (refresh)."""
+
     def _work(self, until: int) -> None:
+        ledger = self._ledger
+        if ledger is _UNCHOSEN:
+            ledger = self._choose_path()
+        if ledger is None:
+            self._stage_ahead(until)
+            self._work_per_command(until)
+            return
+        stage_ahead = self._stage_ahead
+        settle = self.dram.channels[self.channel_id].settle_trusted
+        decide = self._decide
+        base = self._decide_base
+        period = self._period
+        g, pos, offset = (
+            self._next_decision, self._next_pos, self._next_offset
+        )
+        decide_at = offset + base[pos]
+        while decide_at <= until:
+            if pos == 0:
+                # Once per round of the table, stage ahead and fold what
+                # the clock has passed (no command precedes its
+                # decision), so however long the stride the ledger holds
+                # about one round.
+                stage_ahead(decide_at)
+                if ledger:
+                    settle(ledger, decide_at - 1)
+            decide(g, pos, offset)
+            g += 1
+            pos += 1
+            if pos == len(base):
+                pos = 0
+                offset += period
+            decide_at = offset + base[pos]
+        self._next_decision, self._next_pos, self._next_offset = (
+            g, pos, offset
+        )
+        stage_ahead(until)
+        if ledger:
+            settle(ledger, until)
+        if self._duplicate_acts:
+            # A legal FS stream has one command per bus cycle, so a
+            # duplicated ACT pops right after its original and the
+            # issue-path guard always squashes it.
+            duplicates = self._duplicate_acts
+            passed = sum(1 for act in duplicates if act <= until)
+            if passed:
+                self.stats.squashed_duplicates += passed
+                duplicates[:] = [act for act in duplicates if act > until]
+
+    def _work_per_command(self, until: int) -> None:
         staged = self._staged
         # Without a fault injector no duplicate is ever staged, so the
         # duplicate-command guard below would be a no-op.
@@ -269,6 +377,56 @@ class FsControllerBase(MemoryController):
         heapq.heappush(
             self._staged, (command.cycle, next(self._stage_seq), command)
         )
+
+    def _stage_transaction(
+        self, times: CommandTimes, addr, is_read: bool, request_id: int,
+        domain: int, duplicate: bool = False,
+    ) -> None:
+        """Hand one transaction's ACT and auto-precharging column to
+        the DRAM model.  ``duplicate`` stages the ACT twice (fault model
+        ``duplicate_command``); the issue path squashes the copy."""
+        ledger = self._ledger
+        if ledger is not None:
+            heapq.heappush(
+                ledger, (times.act, times.col, addr.rank, is_read)
+            )
+            if duplicate:
+                self._duplicate_acts.append(times.act)
+            return
+        act = Command(
+            _ACTIVATE, times.act, self.channel_id,
+            addr.rank, addr.bank, addr.row, request_id, domain,
+        )
+        self._stage(act)
+        if duplicate:
+            self._stage(act)
+        self._stage(Command(
+            _COL_READ_AP if is_read else _COL_WRITE_AP, times.col,
+            self.channel_id, addr.rank, addr.bank, addr.row,
+            request_id, domain,
+        ))
+
+    def _stage_rank_command(
+        self, ctype: CommandType, cycle: int, rank: int
+    ) -> None:
+        """Hand a REF, PDN or PUP for ``rank`` to the DRAM model."""
+        if self._ledger is not None:
+            heapq.heappush(self._ledger, (cycle, cycle, rank, ctype))
+        else:
+            self._stage(Command(ctype, cycle, self.channel_id, rank))
+
+    def settle_ledger(self) -> None:
+        """Fold the closed-form records left at the run's end (``now``)
+        into the DRAM model; a no-op on the per-command path."""
+        if self._ledger:
+            self.dram.channels[self.channel_id].settle_trusted(
+                self._ledger, self.now, final=True
+            )
+
+    def finalize(self) -> None:
+        """Settle the ledger, then close the power-state accounting."""
+        self.settle_ledger()
+        super().finalize()
 
 
 class FixedServiceController(FsControllerBase):
@@ -405,9 +563,7 @@ class FixedServiceController(FsControllerBase):
                     - (cycle - self.schedule.lead)
                 ) % l
                 cycle += shift
-                self._stage(Command(
-                    CommandType.REFRESH, cycle, self.channel_id, rank
-                ))
+                self._stage_rank_command(CommandType.REFRESH, cycle, rank)
                 self.stat_refreshes += 1
                 self._next_ref_windows[rank] = self.refresh.next_refresh(
                     rank, window.start + 1
@@ -499,10 +655,9 @@ class FixedServiceController(FsControllerBase):
             )
         return len(self._queues[domain]) < capacity
 
-    def _work(self, until: int) -> None:
+    def _stage_ahead(self, until: int) -> None:
         if self._refreshing:
             self._pump_refreshes(until + self.schedule.interval_length)
-        super()._work(until)
 
     # ------------------------------------------------------------------
     # Slot decisions.
@@ -678,12 +833,8 @@ class FixedServiceController(FsControllerBase):
             pup -= 1
         if pup - pdn < p.tCKE + p.tXP:
             return False
-        self._stage(Command(
-            CommandType.POWER_DOWN, pdn, self.channel_id, rank
-        ))
-        self._stage(Command(
-            CommandType.POWER_UP, pup, self.channel_id, rank
-        ))
+        self._stage_rank_command(CommandType.POWER_DOWN, pdn, rank)
+        self._stage_rank_command(CommandType.POWER_UP, pup, rank)
         self._trace(domain, anchor, "p")
         return True
 
@@ -806,14 +957,9 @@ class FixedServiceController(FsControllerBase):
             request.suppressed = True
             self.stats.suppressed_dummies += 1
         else:
-            act = Command(
-                _ACTIVATE, times.act, self.channel_id,
-                addr.rank, addr.bank, addr.row, request.req_id, domain,
-            )
-            self._stage(act)
-            if injector is not None and injector.duplicate_command(
-                domain, anchor
-            ):
+            duplicate = injector is not None and \
+                injector.duplicate_command(domain, anchor)
+            if duplicate:
                 # Fault model: the staging logic repeats the ACT; the
                 # issue-path guard in _work squashes the copy before it
                 # can reach the command bus.
@@ -821,12 +967,9 @@ class FixedServiceController(FsControllerBase):
                     FaultKind.DUPLICATE_COMMAND, domain, anchor,
                     "ACT staged twice",
                 )
-                self._stage(act)
-            self._stage(Command(
-                _COL_READ_AP if is_read else _COL_WRITE_AP, times.col,
-                self.channel_id, addr.rank, addr.bank, addr.row,
-                request.req_id, domain,
-            ))
+            self._stage_transaction(
+                times, addr, is_read, request.req_id, domain, duplicate
+            )
 
         request.issue = times.first
         request.data_start = times.data

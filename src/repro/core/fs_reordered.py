@@ -17,32 +17,36 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..dram.commands import (
-    Command,
-    CommandType,
-    OpType,
-    Request,
-    RequestKind,
-)
+from ..dram.commands import OpType, Request, RequestKind
 from ..dram.system import DramSystem
 from ..faults import FaultInjector, FaultKind
 from ..mapping.partition import PartitionPolicy
 from .energy_opts import FsEnergyOptions
 from .fs_controller import FsControllerBase, service_code
-from .schedule import CommandTimes, ReorderedBpGeometry, \
-    build_reordered_bp_geometry
+from .schedule import (
+    CommandTimes,
+    ReorderedBpGeometry,
+    cached_reordered_bp_geometry,
+    reordered_bp_lead,
+    reordered_bp_times,
+    validate_reordered_bp_geometry,
+)
 
 # Hot-path Enum members as module constants (see repro.dram.commands).
-_ACTIVATE = CommandType.ACTIVATE
-_COL_READ_AP = CommandType.COL_READ_AP
-_COL_WRITE_AP = CommandType.COL_WRITE_AP
 _READ = OpType.READ
 _DEMAND = RequestKind.DEMAND
 _DUMMY = RequestKind.DUMMY
 
 
 class ReorderedBpController(FsControllerBase):
-    """Interval-batched FS: reads first, writes after, en-masse release."""
+    """Interval-batched FS: reads first, writes after, en-masse release.
+
+    No pipeline solver proves a reordered geometry legal, so the
+    controller issues trusted only when its geometry passed
+    :func:`~repro.core.schedule.validate_reordered_bp_geometry` on its
+    own timing parameters; otherwise it sets ``trusted_issue = False``
+    on the instance and every command is checked.
+    """
 
     def __init__(
         self,
@@ -55,22 +59,25 @@ class ReorderedBpController(FsControllerBase):
         log_commands: bool = False,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
-        geometry = geometry or build_reordered_bp_geometry(
-            dram.params, num_domains
-        )
-        if geometry.num_domains != num_domains:
+        if geometry is None:
+            geometry, legal = cached_reordered_bp_geometry(
+                dram.params, num_domains
+            )
+        elif geometry.num_domains != num_domains:
             raise ValueError("geometry domain count mismatch")
+        else:
+            legal = not validate_reordered_bp_geometry(
+                dram.params, geometry
+            )
         # One decision per interval, at the interval's first cycle.
         super().__init__(
             dram, num_domains, partition, channel, energy_options,
             log_commands, fault_injector, (0,), geometry.interval_length,
         )
         self.geometry = geometry
-        # The earliest command of an interval precedes its first data
-        # burst by tRCD + tCAS (a read activate).
-        self._lead = dram.params.tRCD + max(
-            dram.params.tCAS, dram.params.tCWD
-        )
+        if not legal:
+            self.trusted_issue = False
+        self._lead = reordered_bp_lead(dram.params)
 
     # ------------------------------------------------------------------
 
@@ -108,9 +115,14 @@ class ReorderedBpController(FsControllerBase):
         last_data_end = last_slot + self.params.tBURST
         # Pick against the interval's earliest slot, commit hazards at
         # its last (see _dispatch): both pairs are indexed by is_read.
-        pick_times = (self._times(start, False), self._times(start, True))
+        p = self.params
+        pick_times = (
+            reordered_bp_times(p, start, False),
+            reordered_bp_times(p, start, True),
+        )
         hazard_times = (
-            self._times(last_slot, False), self._times(last_slot, True)
+            reordered_bp_times(p, last_slot, False),
+            reordered_bp_times(p, last_slot, True),
         )
         picks: List[Request] = []
         for domain in range(self.num_domains):
@@ -181,16 +193,6 @@ class ReorderedBpController(FsControllerBase):
                 )
         return None
 
-    def _times(self, data_at: int, is_read: bool) -> CommandTimes:
-        p = self.params
-        if is_read:
-            return CommandTimes(
-                data_at - p.tRCD - p.tCAS, data_at - p.tCAS, data_at
-            )
-        return CommandTimes(
-            data_at - p.tRCD - p.tCWD, data_at - p.tCWD, data_at
-        )
-
     def _dispatch(
         self,
         request: Request,
@@ -202,7 +204,7 @@ class ReorderedBpController(FsControllerBase):
         addr = request.address
         is_read = request.is_read
         kind = request.kind
-        times = self._times(data_at, is_read)
+        times = reordered_bp_times(self.params, data_at, is_read)
         # SECURITY: the hazard tracker must never learn the transaction's
         # slot *position* — positions depend on co-runners' read/write mix.
         # Commit the position-independent worst case (the interval's last
@@ -237,15 +239,9 @@ class ReorderedBpController(FsControllerBase):
             request.suppressed = True
             self.stats.suppressed_dummies += 1
         else:
-            self._stage(Command(
-                _ACTIVATE, times.act, self.channel_id,
-                addr.rank, addr.bank, addr.row, request.req_id, domain,
-            ))
-            self._stage(Command(
-                _COL_READ_AP if is_read else _COL_WRITE_AP, times.col,
-                self.channel_id, addr.rank, addr.bank, addr.row,
-                request.req_id, domain,
-            ))
+            self._stage_transaction(
+                times, addr, is_read, request.req_id, domain
+            )
         request.issue = times.first
         request.data_start = times.data
         request.completion = times.data + self.params.tBURST

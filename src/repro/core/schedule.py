@@ -383,6 +383,8 @@ def build_reordered_bp_geometry(
     same-rank tCCD; the tail must cover the worst-case write-to-read
     turnaround so the next interval's reads are unconstrained.  For the
     Table-1 part: gap 6, tail 15, Q = 8*6 + 15 = 63 (51% utilization).
+    Nothing here proves the result legal on other parts; see
+    :func:`validate_reordered_bp_geometry`.
     """
     data_gap = max(params.tBURST + params.tRTRS, params.tCCD)
     # The tail is the bank-partitioned slot gap (15 for Table 1): it makes
@@ -391,6 +393,36 @@ def build_reordered_bp_geometry(
     return ReorderedBpGeometry(
         num_domains=num_domains, data_gap=data_gap, tail=tail
     )
+
+
+def reordered_bp_lead(params: TimingParams) -> int:
+    """Cycle of interval 0's first data burst: the earliest command of
+    an interval (a read's ACT) precedes it by tRCD + tCAS."""
+    return params.tRCD + max(params.tCAS, params.tCWD)
+
+
+def reordered_bp_times(
+    params: TimingParams, data_at: int, is_read: bool
+) -> CommandTimes:
+    """ACT/column/data cycles of a reordered-BP transaction whose burst
+    starts at ``data_at``."""
+    col = data_at - (params.tCAS if is_read else params.tCWD)
+    return CommandTimes(col - params.tRCD, col, data_at)
+
+
+def cached_reordered_bp_geometry(
+    params: TimingParams, num_domains: int
+) -> Tuple[ReorderedBpGeometry, bool]:
+    """Memoized :func:`build_reordered_bp_geometry`, with its verdict
+    from :func:`validate_reordered_bp_geometry` (True: legal)."""
+
+    def build() -> Tuple[ReorderedBpGeometry, bool]:
+        geometry = build_reordered_bp_geometry(params, num_domains)
+        return geometry, not validate_reordered_bp_geometry(
+            params, geometry
+        )
+
+    return _memoized(("reordered_bp", params, num_domains), build)
 
 
 # ----------------------------------------------------------------------
@@ -496,4 +528,48 @@ def validate_schedule(
         violations.extend(
             checker.check(schedule_commands(schedule, pattern, intervals))
         )
+    return violations
+
+
+def validate_reordered_bp_geometry(
+    params: TimingParams, geometry: ReorderedBpGeometry
+) -> List[Violation]:
+    """Replay two consecutive reordered-BP intervals through the
+    independent JEDEC checker, for every pair of read counts; an empty
+    result certifies the geometry on ``params``.
+
+    Interval ``i`` serves ``reads_i`` reads and then writes, one per
+    domain, at the controller's data pitch.  Every transaction gets its
+    own bank: same-domain and same-bank gaps are the hazard tracker's
+    duty, not the timetable's.  The transactions sit all on one rank
+    (tRRD, tFAW, tCCD and the turnarounds bind hardest), and again on
+    alternating ranks, where tRTRS separates every pair of neighbouring
+    bursts.
+    """
+    n = geometry.num_domains
+    lead = reordered_bp_lead(params)
+    checker = TimingChecker(params)
+    violations: List[Violation] = []
+    for alternate in (False, True):
+        for reads in itertools.product(range(n + 1), repeat=2):
+            commands: List[Command] = []
+            for interval, read_count in enumerate(reads):
+                start = lead + interval * geometry.interval_length
+                for position in range(n):
+                    k = interval * n + position
+                    is_read = position < read_count
+                    times = reordered_bp_times(
+                        params, start + geometry.data_offset(position),
+                        is_read,
+                    )
+                    rank = k % 2 if alternate else 0
+                    commands.append(Command(
+                        CommandType.ACTIVATE, times.act, 0, rank, k, row=k,
+                    ))
+                    commands.append(Command(
+                        CommandType.COL_READ_AP if is_read
+                        else CommandType.COL_WRITE_AP,
+                        times.col, 0, rank, k, row=k,
+                    ))
+            violations.extend(checker.check(commands))
     return violations

@@ -11,6 +11,7 @@ applying, so an illegal schedule can never be silently accepted.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from heapq import heappop
 from typing import List, Optional, Set, Tuple
 
 from .bank import TimingViolation
@@ -204,12 +205,13 @@ class Channel:
     def issue_trusted(self, cmd: Command) -> Optional[int]:
         """Apply ``cmd`` without validation or bus bookkeeping.
 
-        For pre-validated fixed schedules only.
-        ``MemoryController._issue`` routes here when the controller's
-        ``trusted_issue`` flag is set: the fast engine's FS controllers
-        set it, and ``FsControllerBase`` in :mod:`repro.core` clears it
-        on a controller whose fault plan arms a foreign-slot borrow.  The
-        pipeline solver already proved the command stream free of
+        For pre-validated fixed schedules only, when something watches
+        the individual commands: ``MemoryController._issue`` routes here
+        when the controller's ``trusted_issue`` flag is set and a command
+        log, online monitor or telemetry session is attached.  An FS
+        controller that nothing observes records its transactions
+        instead and has :meth:`settle_trusted` fold them in closed form.
+        The pipeline solver already proved the command stream free of
         command-bus and data-bus conflicts, so the per-cycle bus
         reservations exist only to re-check that proof.  This path skips
         them while keeping every *observable* update (rank/bank state,
@@ -234,6 +236,68 @@ class Channel:
         if cmd.cycle > self.stat_last_activity:
             self.stat_last_activity = cmd.cycle
         return data_start
+
+    def settle_trusted(
+        self,
+        ledger: List[Tuple[int, int, int, object]],
+        until: int,
+        final: bool = False,
+    ) -> None:
+        """Fold the records of a trusted FS stream that ``until`` passed.
+
+        The closed form of :meth:`issue_trusted` for a stream nobody
+        observes command by command.  ``ledger`` is a heap of records
+        ``(start, done, rank, kind)``:
+
+        * a transaction is ``(ACT cycle, column cycle, rank, is_read)``,
+          its column an auto-precharging read or write;
+        * a REF, PDN or PUP is ``(cycle, cycle, rank, command type)``.
+
+        Records whose last command is at or before ``until`` are
+        popped in start order and folded into the ranks' counters (see
+        :meth:`Rank.settle_span`) and the channel's ``stat_*``; the rest
+        stay for a later call.  With ``final`` (``until`` is the run's
+        last cycle) the rest are settled too: a transaction whose ACT
+        issued but whose column lies past ``until`` counts its ACT only,
+        and anything starting after ``until`` never issued.  The
+        counters then equal what :meth:`issue_trusted` of every command
+        at or before ``until`` would have left.
+
+        Every FS transaction's ACT-to-column gap is ``tRCD``, so spans
+        end in the order they start: a record is never folded ahead of
+        an earlier-starting one of its rank.
+        """
+        ranks = self.ranks
+        trcd = self.params.tRCD
+        commands = columns = 0
+        last = self.stat_last_activity
+        while ledger:
+            start, done, rank, kind = ledger[0]
+            if done > until:
+                if not final:
+                    break
+                if start > until:
+                    ledger.clear()
+                    break
+            heappop(ledger)
+            if done == start:
+                ranks[rank].settle_command(kind, start)
+                commands += 1
+            else:
+                assert done - start == trcd, "FS spans must be tRCD long"
+                if done > until:
+                    ranks[rank].settle_span(start, None, kind)
+                    commands += 1
+                    done = start
+                else:
+                    ranks[rank].settle_span(start, done, kind)
+                    commands += 2
+                    columns += 1
+            if done > last:
+                last = done
+        self.stat_commands += commands
+        self.stat_data_cycles += columns * self.params.tBURST
+        self.stat_last_activity = last
 
     # ------------------------------------------------------------------
     # Introspection helpers.

@@ -80,6 +80,10 @@ class Rank:
         self.power_state: PowerState = PowerState.PRECHARGED
         self._power_until: int = 0  # earliest cycle a command may issue
         self._state_since: int = 0
+        #: Closed-form settlement only: the auto-precharge column that
+        #: ends the current union of open spans (see :meth:`settle_span`);
+        #: set only while the rank is ACTIVE.
+        self._precharge_at: Optional[int] = None
         self.energy = RankEnergyCounters()
 
     # ------------------------------------------------------------------
@@ -227,21 +231,80 @@ class Rank:
                 self._account_state(t)
                 self._enter(_PRECHARGED, t)
         elif ctype is _REFRESH:
-            self._account_state(t)
-            self.energy.refreshes += 1
             for bank in self.banks:
                 bank.apply(cmd) if checked else bank.apply_trusted(cmd)
-            self._enter(_PRECHARGED, t)
+            self._rank_command(ctype, t)
         elif ctype is _PDN:
-            self._account_state(t)
-            self._enter(_POWERED_DOWN, t)
+            self._rank_command(ctype, t)
             self._power_until = t + self.params.tCKE
         elif ctype is _PUP:
-            self._account_state(t)
-            self._enter(_PRECHARGED, t)
+            self._rank_command(ctype, t)
             self._power_until = t + self.params.tXP
         else:  # pragma: no cover - defensive
             raise ValueError(f"rank cannot apply {ctype}")
+
+    def _rank_command(self, ctype: CommandType, t: int) -> None:
+        """Residency and count update of a REF, PDN or PUP at ``t``:
+        REF and PUP leave the rank precharged, PDN powered down."""
+        self._account_state(t)
+        if ctype is _REFRESH:
+            self.energy.refreshes += 1
+        self._enter(_POWERED_DOWN if ctype is _PDN else _PRECHARGED, t)
+
+    # ------------------------------------------------------------------
+    # Closed-form settlement of trusted Fixed Service streams.
+    # ------------------------------------------------------------------
+    #
+    # A trusted FS stream is a proved-legal sequence of transactions,
+    # each an ACT and its auto-precharging column ``tRCD`` later, plus
+    # REF/PDN/PUP commands that the timetable places where no bank is
+    # open.  Under :meth:`_transition` the rank is ACTIVE exactly while
+    # some bank is open, i.e. on the union of the ``[ACT, column)``
+    # spans; POWER_DOWN on the ``[PDN, PUP)`` spans; PRECHARGED
+    # otherwise.  The methods below produce the same counters from the
+    # spans alone, folded in start order: the rank stays ACTIVE until
+    # ``_precharge_at`` (the end of the union so far) unless a later
+    # span starts first.
+
+    def settle_span(self, act: int, col: Optional[int],
+                    is_read: bool) -> None:
+        """Fold one transaction's ACT at ``act`` and its column at
+        ``col``; ``col`` is None when the column falls after the run's
+        end and never issues.  Spans must arrive in start order."""
+        energy = self.energy
+        end = self._precharge_at
+        if end is not None and end <= act:
+            # The union closed before this ACT (``_settle_to`` and
+            # ``_account_state`` inlined: the closed form's hot path).
+            energy.cycles_active += end - self._state_since
+            energy.cycles_precharged += act - end
+        else:
+            self._account_state(act)
+        energy.activates += 1
+        self.power_state = _ACTIVE
+        self._state_since = act
+        if col is not None:
+            if is_read:
+                energy.reads += 1
+            else:
+                energy.writes += 1
+        self._precharge_at = col
+
+    def settle_command(self, ctype: CommandType, t: int) -> None:
+        """Fold a REF, PDN or PUP at ``t`` (in start order with the
+        spans).  It ends any open span, as a REF does on the per-command
+        path; a legal stream has none open here."""
+        self._settle_to(t)
+        self._precharge_at = None
+        self._rank_command(ctype, t)
+
+    def _settle_to(self, t: int) -> None:
+        """Close the open-span union if it ended at or before ``t``."""
+        end = self._precharge_at
+        if end is not None and end <= t:
+            self._account_state(end)
+            self._enter(_PRECHARGED, end)
+            self._precharge_at = None
 
     @property
     def any_bank_open(self) -> bool:
@@ -255,6 +318,7 @@ class Rank:
 
     def finalize(self, end_cycle: int) -> None:
         """Close the power-state accounting at the end of simulation."""
+        self._settle_to(end_cycle)
         self._account_state(end_cycle)
 
     def _enter(self, state: PowerState, t: int) -> None:

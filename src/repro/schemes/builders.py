@@ -24,7 +24,8 @@ from typing import Callable, Dict, Optional
 from ..controllers.base import MemoryController
 from ..controllers.tp import default_turn_length
 from ..dram.system import DramSystem
-from ..errors import SchemeError
+from ..errors import ConfigError, SchemeError
+from ..faults import FaultKind
 from ..mapping.partition import (
     BankPartition,
     NoPartition,
@@ -246,7 +247,25 @@ def _build_fs_reordered(spec, config, partition, options, injector,
 def _build_fs_multichannel(spec, config, partition, options, injector,
                            engine):
     """One rank-partitioned FS controller per channel (the paper's full
-    32-core, 4-channel target system)."""
+    32-core, 4-channel target system).
+
+    The per-channel controllers take no fault injector, so a plan
+    arming a controller-level fault is refused rather than silently
+    ignored; ``corrupt_trace`` acts on the workload and is kept.
+    """
+    if injector is not None:
+        armed = [
+            kind.value for kind in FaultKind
+            if kind is not FaultKind.CORRUPT_TRACE
+            and injector.plan.arms(kind)
+        ]
+        if armed:
+            raise ConfigError(
+                f"scheme {spec.name!r} cannot inject controller-level "
+                f"faults ({', '.join(armed)}): its per-channel "
+                f"controllers take no fault injector; only "
+                f"corrupt_trace applies"
+            )
     cls = spec.controller_class(engine)
     return cls(
         _dram_for(config), partition, config.num_cores,

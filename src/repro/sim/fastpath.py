@@ -16,13 +16,18 @@ were proved offline.  This module exploits that determinism:
   (``release_horizon``), so the driver strides over dummy-slot
   decisions too.
 * trusted issue — the FS command stream was validated offline (pipeline
-  solver + :func:`repro.core.schedule.validate_schedule`), so the fast
-  FS controllers set ``trusted_issue`` and apply commands through
-  :meth:`repro.dram.channel.Channel.issue_trusted`, skipping the
+  solver + :func:`repro.core.schedule.validate_schedule`; reordered BP
+  per part, see :func:`repro.core.schedule.validate_reordered_bp_geometry`),
+  so the fast FS controllers set ``trusted_issue`` and skip the
   per-command JEDEC re-validation and bus-reservation bookkeeping while
-  keeping every observable state update bit-identical.  That flag is
-  all they add: the memoized timetable, its decide/release tables and
-  the slot loop live in :mod:`repro.core` and serve both engines.
+  keeping every observable state update bit-identical.  With a command
+  log, monitor or telemetry attached they apply each command through
+  :meth:`repro.dram.channel.Channel.issue_trusted`; otherwise
+  :meth:`repro.dram.channel.Channel.settle_trusted` folds their
+  recorded transactions into the DRAM counters in closed form.  That
+  flag is all they add: the memoized timetable, its decide/release
+  tables, the slot loop and both issue paths live in :mod:`repro.core`
+  and :mod:`repro.dram`.
 * :class:`FastFrFcfsController` / :class:`FastTpController` — the
   non-fixed schedulers keep full validation (their schedules are *not*
   precomputed) but cache scheduling candidates between decisions, with

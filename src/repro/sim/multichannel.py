@@ -162,6 +162,13 @@ class MultiChannelFsController(MemoryController):
     def _work(self, until: int) -> None:  # pragma: no cover - unused
         raise NotImplementedError("advance() fans out directly")
 
+    def finalize(self) -> None:
+        """Settle each channel's closed-form records, then close the
+        shared DRAM system's accounting once."""
+        for controller in self._sub.values():
+            controller.settle_ledger()
+        super().finalize()
+
     @property
     def command_log(self):
         log = []

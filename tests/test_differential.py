@@ -21,12 +21,18 @@ plus the option axes the benchmarks exercise: refresh, prefetching,
 energy optimizations, slot multiplicity, turn length, address-order
 remapping, and the online invariant monitor.  Fault-injection cases live
 in ``tests/test_fastpath_faults.py``.
+
+Every Fixed Service case also runs with the command log off (ids ending
+in ``logs_off``; unparametrized cases loop over both modes), where the
+fast FS controllers settle their DRAM counters in closed form instead
+of issuing each command: see ``tests/engine_equivalence.py``.
 """
 
 import json
 
 import pytest
 
+from repro.schemes import REGISTRY
 from repro.sim.config import SystemConfig
 from repro.sim.runner import SCHEMES, SchemeOptions, run_scheme
 from repro.telemetry import TelemetrySession, TraceCollector
@@ -37,11 +43,26 @@ from .engine_equivalence import check
 # Every scheme the runner knows, on two contrasting workloads: a mixed
 # multiprogrammed bundle and a homogeneous memory-intensive one.
 _ALL_SCHEMES = list(SCHEMES)
+_FS_SCHEMES = {s for s in _ALL_SCHEMES if REGISTRY.get(s).fixed_service}
 
 
-@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
-def test_scheme_equivalent_mixed_workload(scheme):
-    check(scheme, workload="mix1")
+def _both_modes(cases):
+    """``(id, args)`` cases as params ``(*args, log_commands)``: each
+    case with the command log on under its own id, and each Fixed
+    Service case (the scheme comes first in ``args``) again with the
+    log off, under ``<id>-logs_off``."""
+    params = [pytest.param(*args, True, id=case_id)
+              for case_id, args in cases]
+    params += [pytest.param(*args, False, id=f"{case_id}-logs_off")
+               for case_id, args in cases if args[0] in _FS_SCHEMES]
+    return params
+
+
+@pytest.mark.parametrize(
+    "scheme, log_commands", _both_modes([(s, (s,)) for s in _ALL_SCHEMES])
+)
+def test_scheme_equivalent_mixed_workload(scheme, log_commands):
+    check(scheme, workload="mix1", log_commands=log_commands)
 
 
 _INTENSE_SCHEMES = ["baseline", "tp_bp", "tp_np", "fs_rp", "fs_bp",
@@ -49,29 +70,40 @@ _INTENSE_SCHEMES = ["baseline", "tp_bp", "tp_np", "fs_rp", "fs_bp",
 
 
 @pytest.mark.parametrize(
-    "scheme, workload",
+    "scheme, workload, log_commands",
     # Read-heavy mcf keeps the bare scheme ids it has always had;
     # write-heavy lbm flips FR-FCFS write drain about twice as often,
     # which is where candidate caching meets the drain hysteresis.
-    [pytest.param(s, "mcf", id=s) for s in _INTENSE_SCHEMES]
-    + [pytest.param(s, "lbm", id=f"lbm-{s}") for s in _INTENSE_SCHEMES],
+    _both_modes(
+        [(s, (s, "mcf")) for s in _INTENSE_SCHEMES]
+        + [(f"lbm-{s}", (s, "lbm")) for s in _INTENSE_SCHEMES]
+    ),
 )
-def test_scheme_equivalent_intense_workload(scheme, workload):
-    check(scheme, workload=workload, accesses=100)
+def test_scheme_equivalent_intense_workload(scheme, workload,
+                                            log_commands):
+    check(scheme, workload=workload, accesses=100,
+          log_commands=log_commands)
 
 
-@pytest.mark.parametrize("cores", [2, 4])
 @pytest.mark.parametrize(
-    "scheme", ["baseline", "fs_rp", "fs_reordered_bp", "tp_bp"]
+    "scheme, cores, log_commands",
+    _both_modes([
+        (f"{s}-{c}", (s, c))
+        for s in ["baseline", "fs_rp", "fs_reordered_bp", "tp_bp"]
+        for c in [2, 4]
+    ]),
 )
-def test_scheme_equivalent_scaled_cores(scheme, cores):
+def test_scheme_equivalent_scaled_cores(scheme, cores, log_commands):
     """The Figure 10 core-count scaling grid, both engines."""
-    check(scheme, workload="libquantum", cores=cores, accesses=100)
+    check(scheme, workload="libquantum", cores=cores, accesses=100,
+          log_commands=log_commands)
 
 
 def test_seed_changes_tracked_identically():
     """A different trace seed must shift both engines the same way."""
-    check("fs_rp", workload="milc", seed=17, accesses=100)
+    for log_commands in (True, False):
+        check("fs_rp", workload="milc", seed=17, accesses=100,
+              log_commands=log_commands)
 
 
 # ---------------------------------------------------------------------
@@ -79,13 +111,19 @@ def test_seed_changes_tracked_identically():
 # ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["baseline", "fs_rp"])
-def test_refresh_equivalent(scheme):
-    check(scheme, options=SchemeOptions(refresh=True), accesses=100)
+@pytest.mark.parametrize(
+    "scheme, log_commands",
+    _both_modes([(s, (s,)) for s in ["baseline", "fs_rp"]]),
+)
+def test_refresh_equivalent(scheme, log_commands):
+    check(scheme, options=SchemeOptions(refresh=True), accesses=100,
+          log_commands=log_commands)
 
 
 def test_prefetch_equivalent():
-    check("fs_rp", options=SchemeOptions(prefetch=True), accesses=100)
+    for log_commands in (True, False):
+        check("fs_rp", options=SchemeOptions(prefetch=True), accesses=100,
+              log_commands=log_commands)
 
 
 def test_energy_options_equivalent():
@@ -95,13 +133,16 @@ def test_energy_options_equivalent():
         suppress_dummies=True, boost_row_hits=True, power_down_idle=True,
     ))
     for scheme in ("fs_rp", "fs_reordered_bp"):
-        check(scheme, options=options, accesses=100)
+        for log_commands in (True, False):
+            check(scheme, options=options, accesses=100,
+                  log_commands=log_commands)
 
 
 def test_double_slots_equivalent():
     """FS bank partitioning with two slots per domain (l=21 pipeline)."""
-    check("fs_bp", options=SchemeOptions(slots_per_domain=2),
-          accesses=100)
+    for log_commands in (True, False):
+        check("fs_bp", options=SchemeOptions(slots_per_domain=2),
+              accesses=100, log_commands=log_commands)
 
 
 def test_turn_length_equivalent():
@@ -113,15 +154,22 @@ def test_address_order_equivalent():
     options = SchemeOptions(
         address_order=("row", "column", "rank", "channel", "bank")
     )
-    check("fs_np_ta", options=options, accesses=100)
+    for log_commands in (True, False):
+        check("fs_np_ta", options=options, accesses=100,
+              log_commands=log_commands)
 
 
 @pytest.mark.parametrize(
-    "scheme", ["fs_rp", "fs_reordered_bp", "fs_np_ta"]
+    "scheme, log_commands",
+    _both_modes([
+        (s, (s,)) for s in ["fs_rp", "fs_reordered_bp", "fs_np_ta"]
+    ]),
 )
-def test_monitor_equivalent(scheme):
-    """The online watchdog sees the same command stream either way."""
-    check(scheme, options=SchemeOptions(monitor=True), accesses=100)
+def test_monitor_equivalent(scheme, log_commands):
+    """The online watchdog sees the same command stream either way (and
+    keeps the fast controllers on the per-command path without a log)."""
+    check(scheme, options=SchemeOptions(monitor=True), accesses=100,
+          log_commands=log_commands)
 
 
 # ---------------------------------------------------------------------

@@ -14,12 +14,20 @@ deliberately-broken borrow-foreign-slot recovery gives the horizon up
 (a borrowed request completes in a foreign domain's slot, which the
 bound does not cover) and turns trusted issue off (the borrowed
 commands are not covered by the offline timetable proof).
+
+Each Fixed Service case also runs with the command log off (ids ending
+in ``logs_off``; unparametrized cases loop over both modes), where the
+fast FS controllers settle their DRAM counters in closed form; the
+fault event logs must still match event for event.  The multi-channel
+composite hands no fault injector to its per-channel controllers, so
+both engines refuse a plan arming a controller-level fault for it.
 """
 
 import pytest
 
 from repro.dram.bank import TimingViolation
 from repro.dram.commands import OpType, Request
+from repro.errors import ConfigError
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.sim.config import SystemConfig
 from repro.sim.runner import SchemeOptions, build_system
@@ -52,42 +60,80 @@ def _check_faulted(scheme: str, kind: FaultKind, **kwargs) -> None:
     assert fast_events == ref_events, "fault event logs diverged"
 
 
+def _both_modes(kinds):
+    """Each fault kind with the command log on (id: the kind) and off
+    (id: ``<kind>-logs_off``), as params ``(kind, log_commands)``."""
+    return [pytest.param(k, True, id=str(k)) for k in kinds] + [
+        pytest.param(k, False, id=f"{k}-logs_off") for k in kinds
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, log_commands",
+    _both_modes(
+        [FaultKind.DROP_COMMAND, FaultKind.DUPLICATE_COMMAND,
+         FaultKind.DELAY_SLOT, FaultKind.REFRESH_COLLISION,
+         FaultKind.CORRUPT_TRACE, FaultKind.QUEUE_OVERFLOW,
+         FaultKind.BORROW_FOREIGN_SLOT]
+    ),
+)
+def test_fs_rp_fault_recovery_equivalent(kind, log_commands):
+    """Every fault class, on the flagship FS rank-partitioned scheme."""
+    _check_faulted("fs_rp", kind, log_commands=log_commands)
+
+
+@pytest.mark.parametrize(
+    "kind, log_commands",
+    _both_modes(
+        [FaultKind.DROP_COMMAND, FaultKind.DELAY_SLOT,
+         FaultKind.CORRUPT_TRACE, FaultKind.QUEUE_OVERFLOW]
+    ),
+)
+def test_reordered_bp_fault_recovery_equivalent(kind, log_commands):
+    """The interval-batched pipeline's fault paths, both engines."""
+    _check_faulted("fs_reordered_bp", kind, log_commands=log_commands)
+
+
+def test_triple_alternation_fault_recovery_equivalent():
+    for log_commands in (True, False):
+        _check_faulted("fs_np_ta", FaultKind.DELAY_SLOT,
+                       log_commands=log_commands)
+
+
+@pytest.mark.parametrize(
+    "kind, log_commands", _both_modes([FaultKind.CORRUPT_TRACE])
+)
+def test_multichannel_fs_under_fault_plan_equivalent(kind, log_commands):
+    """The multi-channel composite delegates its release horizon to its
+    per-channel controllers, with a fault plan armed: trace corruption,
+    which the runner applies to every scheme, strikes identically."""
+    _check_faulted("fs_rp_mc", kind, log_commands=log_commands)
+
+
 @pytest.mark.parametrize(
     "kind",
     [FaultKind.DROP_COMMAND, FaultKind.DUPLICATE_COMMAND,
      FaultKind.DELAY_SLOT, FaultKind.REFRESH_COLLISION,
-     FaultKind.CORRUPT_TRACE, FaultKind.QUEUE_OVERFLOW,
-     FaultKind.BORROW_FOREIGN_SLOT],
+     FaultKind.QUEUE_OVERFLOW, FaultKind.BORROW_FOREIGN_SLOT],
 )
-def test_fs_rp_fault_recovery_equivalent(kind):
-    """Every fault class, on the flagship FS rank-partitioned scheme."""
-    _check_faulted("fs_rp", kind)
-
-
-@pytest.mark.parametrize(
-    "kind",
-    [FaultKind.DROP_COMMAND, FaultKind.DELAY_SLOT,
-     FaultKind.CORRUPT_TRACE, FaultKind.QUEUE_OVERFLOW],
-)
-def test_reordered_bp_fault_recovery_equivalent(kind):
-    """The interval-batched pipeline's fault paths, both engines."""
-    _check_faulted("fs_reordered_bp", kind)
-
-
-def test_triple_alternation_fault_recovery_equivalent():
-    _check_faulted("fs_np_ta", FaultKind.DELAY_SLOT)
-
-
-@pytest.mark.parametrize(
-    "kind", [FaultKind.DROP_COMMAND, FaultKind.CORRUPT_TRACE]
-)
-def test_multichannel_fs_under_fault_plan_equivalent(kind):
-    """The multi-channel composite delegates its release horizon to its
-    per-channel controllers, with a fault plan armed.  Its builder does
-    not hand the plan to those controllers, so ``drop_command`` never
-    strikes here; trace corruption, which the runner applies to every
-    scheme, does."""
-    _check_faulted("fs_rp_mc", kind)
+def test_multichannel_fs_rejects_controller_faults(kind):
+    """The composite's per-channel controllers take no fault injector,
+    so a controller-level fault would never strike: both engines refuse
+    the plan, naming the armed kind, instead of running it silently."""
+    options = SchemeOptions(faults=FaultPlan(
+        (FaultSpec(kind, 0.1), FaultSpec(FaultKind.CORRUPT_TRACE, 0.1)),
+        seed=7,
+    ))
+    for engine in ("reference", "fast"):
+        config = SystemConfig(num_cores=4, accesses_per_core=60) \
+            .with_cores(4)
+        with pytest.raises(ConfigError) as raised:
+            build_system(
+                "fs_rp_mc", config, suite_specs("mcf", 4), options,
+                engine=engine,
+            )
+        # The armed controller-level kinds, and only those, are named.
+        assert f"({kind.value})" in str(raised.value)
 
 
 def test_corrupt_trace_on_baseline_equivalent():
@@ -118,10 +164,12 @@ def test_multi_fault_campaign_equivalent():
         ),
         seed=13,
     )
-    outcomes = run_both(
-        "fs_rp", options=SchemeOptions(faults=plan), accesses=100
-    )
-    assert_equivalent(outcomes)
+    for log_commands in (True, False):
+        outcomes = run_both(
+            "fs_rp", options=SchemeOptions(faults=plan), accesses=100,
+            log_commands=log_commands,
+        )
+        assert_equivalent(outcomes)
 
 
 def _faulted_controller(scheme: str, kind: FaultKind):

@@ -23,6 +23,11 @@ Regenerate after an *intentional* behaviour change with::
 and commit the updated JSON alongside the change that explains it.
 The runs use the fast engine (the differential suite pins fast ==
 reference separately, so one engine's golden data covers both).
+
+The Fixed Service fixtures are re-run with the command log off too:
+the fast FS controllers then settle their DRAM counters in closed form
+instead of issuing each command, and every field but the command-log
+ones must still equal the pinned JSON.
 """
 
 import dataclasses
@@ -50,14 +55,20 @@ CASES = [
 ]
 
 
-def _snapshot(scheme, workload, cores, accesses, seed):
+#: Snapshot fields derived from the command log.
+COMMAND_LOG_FIELDS = (
+    "command_count", "command_trace_sha256", "command_trace_head",
+)
+
+
+def _snapshot(scheme, workload, cores, accesses, seed, log_commands=True):
     """One run's complete observable record, JSON-serializable."""
     config = SystemConfig(accesses_per_core=accesses, seed=seed)
     if cores != config.num_cores:
         config = config.with_cores(cores)
     system = build_system(
         scheme, config, suite_specs(workload, cores),
-        SchemeOptions(log_commands=True), engine="fast",
+        SchemeOptions(log_commands=log_commands), engine="fast",
     )
     result = system.run(max_cycles=MAX_CYCLES)
     controller = system.controller
@@ -131,4 +142,30 @@ def test_golden_trace(name, scheme, workload, cores, accesses, seed,
         f"{name}: simulator output drifted from the golden fixture; "
         f"if the change is intentional, regenerate with --regen-golden "
         f"and commit the diff"
+    )
+
+
+FS_CASES = [case for case in CASES if case[1].startswith("fs_")]
+
+
+@pytest.mark.parametrize(
+    "name,scheme,workload,cores,accesses,seed", FS_CASES,
+    ids=[case[0] for case in FS_CASES],
+)
+def test_golden_trace_logs_off(name, scheme, workload, cores, accesses,
+                               seed):
+    """Closed-form settlement reproduces the pinned fixture: every field
+    except the command-log ones, which a run without a log cannot
+    have."""
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as handle:
+        golden = json.load(handle)
+    snapshot = json.loads(_canonical(
+        _snapshot(scheme, workload, cores, accesses, seed,
+                  log_commands=False)
+    ))
+    assert snapshot["command_count"] == 0
+    for field in COMMAND_LOG_FIELDS:
+        del golden[field], snapshot[field]
+    assert snapshot == golden, (
+        f"{name}: the closed-form run drifted from the golden fixture"
     )
