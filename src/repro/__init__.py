@@ -37,7 +37,7 @@ Packages:
 * :mod:`repro.analysis` — non-interference checks, covert channels,
   metrics, reporting.
 * :mod:`repro.telemetry` — unified observability: metrics registry,
-  cycle-accurate trace export, engine profiling.
+  cycle-accurate trace export, run spans.
 """
 
 from .errors import (

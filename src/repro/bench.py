@@ -12,9 +12,9 @@ schema-versioned ledger entry at the repository root::
 Suite cases (all built on existing public surfaces):
 
 * ``cycles_per_second/<engine>/<scheme>`` — simulated cycles per wall
-  second from :class:`~repro.telemetry.profiler.EngineProfiler`, per
-  engine on representative schemes (the headline engine-throughput
-  numbers);
+  second of one plain ``System.run`` (nothing attached, so the run
+  takes the path an unobserved simulation takes), per engine on
+  representative schemes (the headline engine-throughput numbers);
 * ``sweep_cells_per_second`` — serial grid throughput through
   :class:`~repro.sim.sweep.Sweep` (orchestration overhead included);
 * ``certify_trials_per_second`` — two-world trials per second through
@@ -140,23 +140,23 @@ def _engine_case(
     engine: str, scheme: str, accesses: int, cores: int, seed: int,
 ) -> List[BenchMetric]:
     from .sim.config import SystemConfig
-    from .sim.runner import SchemeOptions, run_scheme
-    from .telemetry.session import TelemetrySession
+    from .sim.runner import build_system
     from .workloads.spec import suite_specs
 
-    session = TelemetrySession(profile=True)
     config = SystemConfig(
         num_cores=cores, accesses_per_core=accesses, seed=seed
     )
-    run_scheme(
-        scheme, config, suite_specs("mix1", cores),
-        SchemeOptions(telemetry=session),
-        max_cycles=50_000_000, engine=engine,
+    system = build_system(
+        scheme, config, suite_specs("mix1", cores), engine=engine
     )
-    profiler = session.profiler
+    start = time.monotonic()
+    result = system.run(max_cycles=50_000_000)
+    wall = time.monotonic() - start
+    if wall <= 0:  # pragma: no cover - defensive
+        raise ReproError("engine benchmark measured no wall time")
     return [BenchMetric(
         name=f"cycles_per_second/{engine}/{scheme}",
-        value=profiler.cycles_per_second,
+        value=result.cycles / wall,
         unit="cycles/s",
     )]
 

@@ -181,18 +181,13 @@ def two_world_samples(
     ``raw`` holds ``(trial, secret, observation)`` triples; ``exact`` is
     True when every trial's two observations matched bit-for-bit.
     With a :class:`~repro.telemetry.spans.SpanTracer`, each trial is
-    wrapped in a span and the engine records its run/phase/epoch spans
-    beneath it (telemetry is passive: verdicts are unchanged).
+    wrapped in a span and the driver records its run/phase/epoch spans
+    beneath it; the tracer never reaches the controller, so traced
+    worlds run the untraced code path and verdicts are unchanged.
     """
     options = SchemeOptions(
-        refresh=strategy.refresh, faults=strategy.faults
+        refresh=strategy.refresh, faults=strategy.faults, tracer=tracer
     )
-    if tracer is not None:
-        from ..telemetry.session import TelemetrySession
-
-        options = dataclasses.replace(
-            options, telemetry=TelemetrySession(tracer=tracer)
-        )
     raw: List[Tuple[int, int, Tuple]] = []
     exact = True
     for trial in range(strategy.trials):

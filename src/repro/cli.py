@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from .analysis.covert import run_covert_channel
@@ -276,7 +277,6 @@ def cmd_run(args) -> int:
             trace_handle = open_sink(args.trace)
         telemetry = TelemetrySession(
             collector=TraceCollector() if args.trace else None,
-            profile=True,
         )
     options = SchemeOptions(
         prefetch=args.prefetch, faults=plan, monitor=args.monitor,
@@ -400,27 +400,25 @@ def cmd_stats(args) -> int:
 
     config = _config(args)
     handle = open_sink(args.metrics) if args.metrics else None
-    telemetry = TelemetrySession(profile=True)
+    # Only a metrics export needs the run observed event by event.
+    telemetry = TelemetrySession() if handle is not None else None
     options = SchemeOptions(telemetry=telemetry)
     system = build_system(
         args.scheme, config, suite_specs(args.workload, args.cores),
         options, engine=args.engine,
     )
+    start = time.monotonic()
     result = system.run()
-    telemetry.harvest(result, system.controller)
+    wall = time.monotonic() - start
     histograms = inter_service_histogram(result.service_trace)
     print(histogram_report(histograms, scheme=args.scheme))
-    profiler = telemetry.profiler
-    if profiler is not None and profiler.wall_seconds > 0:
-        line = (
+    if wall > 0:
+        print(
             f"\nengine ({args.engine}): {result.cycles:,} cycles in "
-            f"{profiler.wall_seconds:.3f}s "
-            f"({profiler.cycles_per_second:,.0f} cycles/s"
+            f"{wall:.3f}s ({result.cycles / wall:,.0f} cycles/s)"
         )
-        if profiler.stride_count:
-            line += f", mean stride {profiler.mean_stride:.1f} cycles"
-        print(line + ")")
     if handle is not None:
+        telemetry.harvest(result, system.controller)
         _write_registry(telemetry.registry, handle, args.metrics)
         handle.close()
         print(f"metrics: {args.metrics}", file=sys.stderr)
@@ -444,7 +442,7 @@ def cmd_trace(args) -> int:
     config = _config(args)
     handle = open_sink(args.output)  # fail fast on a bad path
     collector = TraceCollector(capacity=args.capacity)
-    telemetry = TelemetrySession(collector=collector, profile=True)
+    telemetry = TelemetrySession(collector=collector)
     options = SchemeOptions(telemetry=telemetry)
     system = build_system(
         args.scheme, config, suite_specs(args.workload, args.cores),
@@ -715,13 +713,12 @@ def cmd_report(args) -> int:
 
     config = _config(args)
     tracer = SpanTracer()
-    telemetry = TelemetrySession(profile=True, tracer=tracer)
-    options = SchemeOptions(telemetry=telemetry)
+    telemetry = TelemetrySession()
+    options = SchemeOptions(telemetry=telemetry, tracer=tracer)
     result = run_scheme(
         args.scheme, config, suite_specs(args.workload, args.cores),
         options, engine=args.engine,
     )
-    telemetry.harvest(result)
     histograms = inter_service_histogram(result.service_trace)
 
     certificate = None

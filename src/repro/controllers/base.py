@@ -119,7 +119,8 @@ class MemoryController(abc.ABC):
     #: :meth:`~repro.dram.channel.Channel.issue_trusted`, so they still
     #: see every command; one that nothing observes settles its DRAM
     #: counters in closed form instead (see
-    #: :class:`~repro.core.fs_controller.FsControllerBase`).
+    #: :class:`~repro.core.fs_controller.FsControllerBase`).  A span
+    #: tracer never makes a run observed: the driver holds it.
     trusted_issue = False
 
     def __init__(

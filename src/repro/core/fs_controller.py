@@ -265,7 +265,9 @@ class FsControllerBase(MemoryController):
 
     def _choose_path(self) -> Optional[list]:
         """Settle in closed form exactly when the commands are trusted
-        and nothing observes them one by one."""
+        and nothing observes them one by one: no command log, online
+        monitor or telemetry session.  A span tracer never counts — it
+        belongs to the driver and never reaches the controller."""
         closed = self.trusted_issue and not self.log_commands and (
             self.monitor is None and self.telemetry is None
         )

@@ -292,7 +292,8 @@ def build_triple_alternation_schedule(
 #: Solved timetables keyed on (kind, params, num_domains, extras...).
 #: Schedules are never mutated after construction, so runs share them.
 _SCHEDULE_CACHE: Dict[Tuple, FixedServiceSchedule] = {}
-#: Lookup counters, exported as volatile metrics by the engine profiler.
+#: Lookup counters, read through :func:`template_cache_stats` (the bench
+#: ledger's ``template_cache_hit_rate``).
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 

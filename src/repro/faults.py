@@ -45,6 +45,7 @@ kind                   effect
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 from collections import Counter
@@ -168,9 +169,23 @@ class FaultInjector:
     index, enqueue count, or trace-record index).  No predicate reads
     cross-domain or global simulator state, so enabling faults cannot
     open a timing channel between domains.
+
+    :attr:`events` is kept in ``(cycle, kind name, domain)`` order, ties
+    in the order they were recorded, not in plain recording order: the
+    two engines interleave request delivery with slot decisions
+    differently (the fast driver enqueues at the end of a stride, before
+    the controller catches up on the decisions inside it), so a
+    ``queue_overflow`` event, stamped with its request's arrival, can be
+    recorded before or after a slot-level event of an earlier cycle.
+    Events with equal keys come from one domain's own progress, which
+    both engines record in the same order, so the log is identical
+    across engines.
     """
 
-    #: Cap on retained events (counts stay exact past the cap).
+    #: Cap on retained events: the log keeps the ``MAX_EVENTS`` earliest
+    #: events in its ``(cycle, kind name, domain)`` order, so the
+    #: retained set is engine-independent too.  Counts stay exact past
+    #: the cap.
     MAX_EVENTS = 10_000
     #: How many subsequent accepts a queue-overflow episode covers.
     OVERFLOW_SPAN = 16
@@ -180,6 +195,9 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.events: List[FaultEvent] = []
+        #: ``(cycle, kind name, domain)`` of each retained event, in
+        #: step with :attr:`events`.
+        self._event_keys: List[Tuple[int, str, int]] = []
         self.counts: Counter = Counter()
         self._enqueues: Dict[int, int] = {}
         self._overflow_until: Dict[int, int] = {}
@@ -204,9 +222,18 @@ class FaultInjector:
     def record(
         self, kind: FaultKind, domain: int, cycle: int, detail: str = ""
     ) -> None:
+        """Count one strike and file it in the event log (in cycle
+        order; see the class docstring)."""
         self.counts[kind] += 1
-        if len(self.events) < self.MAX_EVENTS:
-            self.events.append(FaultEvent(kind, domain, cycle, detail))
+        key = (cycle, kind.value, domain)
+        keys = self._event_keys
+        at = bisect.bisect_right(keys, key)
+        if at < self.MAX_EVENTS:
+            keys.insert(at, key)
+            self.events.insert(at, FaultEvent(kind, domain, cycle, detail))
+            if len(keys) > self.MAX_EVENTS:
+                keys.pop()
+                self.events.pop()
         if self.telemetry is not None:
             self.telemetry.on_fault(kind, domain, cycle, detail)
 

@@ -21,8 +21,8 @@ were proved offline.  This module exploits that determinism:
   so the fast FS controllers set ``trusted_issue`` and skip the
   per-command JEDEC re-validation and bus-reservation bookkeeping while
   keeping every observable state update bit-identical.  With a command
-  log, monitor or telemetry attached they apply each command through
-  :meth:`repro.dram.channel.Channel.issue_trusted`; otherwise
+  log, monitor or telemetry session attached they apply each command
+  through :meth:`repro.dram.channel.Channel.issue_trusted`; otherwise
   :meth:`repro.dram.channel.Channel.settle_trusted` folds their
   recorded transactions into the DRAM counters in closed form.  That
   flag is all they add: the memoized timetable, its decide/release
@@ -595,16 +595,8 @@ class FastSystem(System):
             return super().run(max_cycles, target_reads, wall_budget_s)
         controller = self.controller
         clock = 0
-        telemetry = self.telemetry
-        profiler = (
-            telemetry.profiler if telemetry is not None else None
-        )
-        tracer = telemetry.tracer if telemetry is not None else None
-        wall_start = (
-            time.monotonic()
-            if profiler is not None or tracer is not None else None
-        )
-        profile_start = wall_start
+        tracer = self.tracer
+        wall_start = time.monotonic() if tracer is not None else None
         deadline = (
             time.monotonic() + wall_budget_s
             if wall_budget_s is not None else None
@@ -680,12 +672,9 @@ class FastSystem(System):
                 # again: the reference loop would spin through internal
                 # events (dummy slots) until max_cycles.  Jump there.
                 tmin = max_cycles
-            new_clock = tmin if tmin > clock else clock + 1
-            if new_clock > max_cycles:
-                new_clock = max_cycles
-            if profiler is not None:
-                profiler.note_stride(new_clock - clock)
-            clock = new_clock
+            clock = tmin if tmin > clock else clock + 1
+            if clock > max_cycles:
+                clock = max_cycles
             delivered = True
             while delivered:
                 delivered = False
@@ -716,10 +705,6 @@ class FastSystem(System):
                     if cores[i].done:
                         not_done.discard(i)
         controller.finalize()
-        if profiler is not None:
-            profiler.note_run(
-                clock, time.monotonic() - profile_start
-            )
         if tracer is not None:
             tracer.record_engine_run(
                 self.scheme, self.engine_name, clock,

@@ -100,8 +100,9 @@ def _check_engine(engine: str) -> None:
 class SchemeOptions:
     """Per-scheme knobs used by the sensitivity benchmarks.
 
-    Everything except :attr:`telemetry` is picklable, so an options
-    block can ride along with a spec into a multiprocess sweep worker.
+    Everything except :attr:`telemetry` and :attr:`tracer` is plain
+    data, so an options block can ride along with a spec into a
+    multiprocess sweep worker.
     """
 
     turn_length: Optional[int] = None          # TP
@@ -138,11 +139,18 @@ class SchemeOptions:
     #: When set, the controller (and its fault injector / monitor)
     #: streams every service event, DRAM command, fault, and violation
     #: into it, and :func:`run_scheme` harvests the finished run's stats
-    #: into the same registry.  ``None`` (the default) keeps every hot
-    #: path on the single ``is None`` fast check.  Sessions are the one
-    #: non-picklable knob: multiprocess sweeps manage per-worker
-    #: sessions themselves.
+    #: into the same registry.  A session makes the run *observed*: a
+    #: trusted FS controller issues command by command instead of
+    #: settling in closed form.  ``None`` (the default) keeps every hot
+    #: path on the single ``is None`` fast check.
     telemetry: object = None
+    #: Optional :class:`~repro.telemetry.spans.SpanTracer`.  The driver
+    #: (never the controller) records each run's run/phase/epoch spans
+    #: and wall time into it, so a traced run takes the untraced code
+    #: path and yields identical observables.  Neither this nor
+    #: :attr:`telemetry` crosses a process boundary: parallel sweeps
+    #: and certification batches build per-worker ones themselves.
+    tracer: object = None
 
 
 def partition_for(
@@ -243,7 +251,7 @@ def build_system(
         system = FastSystem(controller, partition, cores, scheme=scheme)
     else:
         system = System(controller, partition, cores, scheme=scheme)
-    system.telemetry = options.telemetry
+    system.tracer = options.tracer
     return system
 
 

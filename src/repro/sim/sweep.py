@@ -129,6 +129,33 @@ def _weighted_ipc(ipcs: Sequence[float],
 # Job entry point (module level: spawn-picklable).
 # ----------------------------------------------------------------------
 
+def _cell_observers(
+    options: Optional[SchemeOptions], telemetry: bool, spans: bool
+) -> Tuple[object, object, Optional[SchemeOptions]]:
+    """One cell's ``(session, tracer, options)``.
+
+    A :class:`~repro.telemetry.session.TelemetrySession` is built only
+    when the grid collects telemetry; a spans-only cell hands its
+    :class:`~repro.telemetry.spans.SpanTracer` to the driver through
+    ``SchemeOptions.tracer`` and so runs the untraced code path.
+    """
+    observers: Dict[str, object] = {}
+    if telemetry:
+        from ..telemetry.session import TelemetrySession
+
+        observers["telemetry"] = TelemetrySession()
+    if spans:
+        from ..telemetry.spans import SpanTracer
+
+        observers["tracer"] = SpanTracer()
+    if observers:
+        options = dataclasses.replace(
+            options if options is not None else SchemeOptions(),
+            **observers,
+        )
+    return observers.get("telemetry"), observers.get("tracer"), options
+
+
 def _sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one grid cell (in a worker process or in-process).
 
@@ -149,21 +176,10 @@ def _sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
         # register (or refresh) the spec so user-defined schemes run in
         # workers exactly like built-ins.
         worker_registry.ensure(spec)
-    options = payload.get("options")
-    session = None
-    tracer = None
-    if payload.get("telemetry") or payload.get("spans"):
-        from ..telemetry.session import TelemetrySession
-
-        if payload.get("spans"):
-            from ..telemetry.spans import SpanTracer
-
-            tracer = SpanTracer()
-        session = TelemetrySession(tracer=tracer)
-        options = dataclasses.replace(
-            options if options is not None else SchemeOptions(),
-            telemetry=session,
-        )
+    session, tracer, options = _cell_observers(
+        payload.get("options"), payload.get("telemetry"),
+        payload.get("spans"),
+    )
     result = run_scheme(
         payload["scheme"], payload["config"],
         suite_specs(payload["workload"], payload["cores"]),
@@ -180,7 +196,7 @@ def _sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
         "cycles": result.cycles,
         "faults": result.faults,
     }
-    if payload.get("telemetry") and session is not None:
+    if session is not None:
         out["registry"] = session.registry
     if tracer is not None:
         # SpanRecord named tuples pickle as plain data; they ride the
@@ -340,21 +356,9 @@ class Sweep:
         done = self._completed.get(key)
         if done is not None:
             return done
-        session = None
-        cell_tracer = None
-        run_options = options
-        if self.collect_telemetry or self.collect_spans:
-            from ..telemetry.session import TelemetrySession
-
-            if self.collect_spans:
-                from ..telemetry.spans import SpanTracer
-
-                cell_tracer = SpanTracer()
-            session = TelemetrySession(tracer=cell_tracer)
-            run_options = dataclasses.replace(
-                options if options is not None else SchemeOptions(),
-                telemetry=session,
-            )
+        session, cell_tracer, run_options = _cell_observers(
+            options, self.collect_telemetry, self.collect_spans
+        )
         try:
             result = run_scheme(
                 scheme, self._config_for(cores),
@@ -394,9 +398,7 @@ class Sweep:
         )
         self.points.append(point)
         self._completed[key] = point
-        if self.collect_telemetry and session is not None and (
-            self.cell_registry is not None
-        ):
+        if session is not None and self.cell_registry is not None:
             self.cell_registry.merge(session.registry)
         if cell_tracer is not None:
             self._adopt_cell_spans(
@@ -449,14 +451,19 @@ class Sweep:
         """
         start = time.monotonic()
         try:
-            if self.workers > 1 and options is not None and (
-                options.telemetry is not None
-            ):
-                raise ConfigError(
-                    "SchemeOptions.telemetry cannot cross process "
-                    "boundaries; use Sweep(collect_telemetry=True) to "
-                    "merge per-worker registries instead"
-                )
+            if self.workers > 1 and options is not None:
+                if options.telemetry is not None:
+                    raise ConfigError(
+                        "SchemeOptions.telemetry cannot cross process "
+                        "boundaries; use Sweep(collect_telemetry=True) "
+                        "to merge per-worker registries instead"
+                    )
+                if options.tracer is not None:
+                    raise ConfigError(
+                        "SchemeOptions.tracer cannot cross process "
+                        "boundaries; use Sweep(collect_spans=True) to "
+                        "merge per-worker spans instead"
+                    )
             n = cores or self.config.num_cores
             jobs, aux = self._grid_jobs(
                 list(schemes), list(workloads), n, options

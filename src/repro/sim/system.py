@@ -96,10 +96,12 @@ class System:
         self.power_model = power_model or PowerModel(
             controller.params
         )
-        #: Optional :class:`~repro.telemetry.session.TelemetrySession`;
-        #: set by the runner when observability is requested.  The fast
-        #: driver reads its profiler for stride/wall-clock accounting.
-        self.telemetry = None
+        #: Optional :class:`~repro.telemetry.spans.SpanTracer` (set by
+        #: ``build_system`` from ``SchemeOptions.tracer``).  The driver
+        #: records each run's span slice and wall time into it; the
+        #: controller never sees it, so a traced run takes the untraced
+        #: code path.
+        self.tracer = None
         self._staged: List[Optional[Request]] = [None] * len(self.cores)
         self._core_index: Dict[int, int] = {
             id(core): i for i, core in enumerate(self.cores)
@@ -135,14 +137,8 @@ class System:
         controller = self.controller
         clock = 0
         reads_done = 0
-        telemetry = self.telemetry
-        profiler = telemetry.profiler if telemetry is not None else None
-        tracer = telemetry.tracer if telemetry is not None else None
-        wall_start = (
-            time.monotonic()
-            if profiler is not None or tracer is not None else None
-        )
-        profile_start = wall_start
+        tracer = self.tracer
+        wall_start = time.monotonic() if tracer is not None else None
         deadline = (
             time.monotonic() + wall_budget_s
             if wall_budget_s is not None else None
@@ -198,10 +194,6 @@ class System:
                     reads_done += 1
                     self._pump(self._core_index[id(core)])
         controller.finalize()
-        if profiler is not None:
-            profiler.note_run(
-                clock, time.monotonic() - profile_start
-            )
         if tracer is not None:
             tracer.record_engine_run(
                 self.scheme, self.engine_name, clock,

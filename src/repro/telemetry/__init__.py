@@ -1,13 +1,16 @@
-"""Unified telemetry: metrics registry, trace export, engine profiling.
+"""Unified telemetry: metrics registry, trace export, run spans.
 
-The observability layer for the whole simulation stack (ISSUE 3).  One
+The observability layer for the whole simulation stack.  One
 :class:`TelemetrySession` attaches to a controller and streams every
-slot grant, DRAM command, fault strike, and invariant violation into a
-deterministic :class:`MetricsRegistry` and an optional cycle-accurate
-:class:`TraceCollector`; after the run, the legacy stat structs are
-harvested into the same registry (:mod:`repro.telemetry.compat`), and
-the timeline can be exported as Chrome trace-event JSON
-(:func:`export_chrome_trace`) for Perfetto.
+slot grant, DRAM command, fault strike, and invariant violation into
+its two surfaces, a deterministic :class:`MetricsRegistry` and an
+optional cycle-accurate :class:`TraceCollector`; after the run, the
+legacy stat structs are harvested into the same registry
+(:mod:`repro.telemetry.compat`), and the timeline can be exported as
+Chrome trace-event JSON (:func:`export_chrome_trace`) for Perfetto.  A
+:class:`SpanTracer` belongs to the driver, never the controller: it
+records the run/phase/epoch span tree and the run's wall time, so
+tracing never changes the code path a run takes.
 
 Design rules:
 
@@ -28,10 +31,9 @@ from .chrome import (
     write_trace_dict,
 )
 from .collector import TraceCollector, TraceEvent, open_sink
-from .compat import harvest_run, run_to_registry
+from .compat import harvest_run
 from .html_report import render_report, write_report
 from .log import configure, get_logger, get_run_id, set_run_id
-from .profiler import EngineProfiler
 from .registry import (
     Counter,
     DEFAULT_BUCKETS,
@@ -61,7 +63,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "EPOCH_CYCLES",
-    "EngineProfiler",
     "Gauge",
     "Histogram",
     "KIND_NAMES",
@@ -87,7 +88,6 @@ __all__ = [
     "open_sink",
     "parse_prometheus_text",
     "render_report",
-    "run_to_registry",
     "scrub_volatile_args",
     "set_run_id",
     "spans_to_events",

@@ -4,12 +4,14 @@ The simulator predates the registry: controllers accumulate a
 :class:`~repro.controllers.base.ControllerStats` dataclass, DRAM channels
 keep ``stat_commands`` / ``stat_data_cycles`` integers, ranks keep
 :class:`~repro.dram.rank.RankEnergyCounters`, the power model returns an
-:class:`~repro.dram.power.EnergyBreakdown`, the fault injector a
-``Counter`` of struck kinds, and the monitor a violation total.  None of
-that plumbing changes — this module *harvests* each legacy struct into
-registry metrics after a run, so every consumer (JSON, Prometheus,
-snapshots, dashboards) sees one unified namespace while the hot paths
-keep their plain-integer accounting.
+:class:`~repro.dram.power.EnergyBreakdown`, and the monitor a violation
+total.  None of that plumbing changes — this module *harvests* each
+legacy struct into registry metrics after a run, so every consumer
+(JSON, Prometheus, snapshots, dashboards) sees one unified namespace
+while the hot paths keep their plain-integer accounting.  Fault strikes
+are not harvested: the live
+:class:`~repro.telemetry.session.TelemetrySession` counts each one as
+it happens.
 
 Field lists are discovered with :func:`dataclasses.fields`, so a new
 ``ControllerStats`` / ``RankEnergyCounters`` / ``EnergyBreakdown`` field
@@ -24,7 +26,6 @@ covers all of it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
 
 from .registry import MetricsRegistry
 from .report import (
@@ -32,12 +33,6 @@ from .report import (
     inter_service_histogram,
     is_degenerate,
 )
-
-#: Fault kinds whose built-in recovery keeps the run inside the FS
-#: invariants.  ``borrow_foreign_slot`` is the deliberately broken
-#: recovery used to prove the watchdog fires — it never counts as
-#: recovered.
-_UNRECOVERED_KINDS = frozenset({"borrow_foreign_slot"})
 
 
 def harvest_controller_stats(registry: MetricsRegistry, stats) -> None:
@@ -124,32 +119,6 @@ def harvest_cores(registry: MetricsRegistry, cores) -> None:
         done.set(1 if core.done else 0, domain=core.domain)
 
 
-def harvest_faults(
-    registry: MetricsRegistry, counts: Optional[Dict[str, int]]
-) -> None:
-    """Export fault strike counts (``{kind: count}``) as labeled
-    counters plus the aggregate recovery counter.
-
-    Only for *offline* harvesting (``repro stats`` on a finished run):
-    a live :class:`~repro.telemetry.session.TelemetrySession` already
-    counts every strike as it happens, and calling this too would
-    double-count.
-    """
-    if not counts:
-        return
-    faults = registry.counter(
-        "faults_injected_total", "injected faults that struck", ("kind",)
-    )
-    recoveries = registry.counter(
-        "recoveries_total",
-        "faults recovered within the victim domain's own slots",
-    )
-    for kind, count in sorted(counts.items()):
-        faults.inc(count, kind=kind)
-        if kind not in _UNRECOVERED_KINDS:
-            recoveries.inc(count)
-
-
 def harvest_monitor(registry: MetricsRegistry, monitor) -> None:
     """Export the online watchdog's verdict."""
     if monitor is None:
@@ -165,16 +134,12 @@ def harvest_monitor(registry: MetricsRegistry, monitor) -> None:
 
 
 def harvest_run(
-    registry: MetricsRegistry,
-    result,
-    controller=None,
-    faults: bool = True,
+    registry: MetricsRegistry, result, controller=None
 ) -> None:
     """Harvest one :class:`~repro.sim.system.RunResult` end to end.
 
     ``controller`` additionally pulls DRAM channel/rank activity and the
-    monitor verdict.  ``faults=False`` skips the fault counters for
-    callers that streamed them live (see :func:`harvest_faults`).
+    monitor verdict.
     """
     registry.gauge("run_info", "1; labels carry run identity",
                    ("scheme",)).set(1, scheme=result.scheme)
@@ -192,18 +157,9 @@ def harvest_run(
         "1 when every domain's inter-service-time histogram has a "
         "single bucket (the FS invariance)",
     ).set(1 if is_degenerate(histograms) else 0)
-    if faults:
-        harvest_faults(registry, getattr(result, "faults", None))
     if controller is not None:
         harvest_dram(registry, controller.dram)
         harvest_monitor(registry, getattr(controller, "monitor", None))
-
-
-def run_to_registry(result, controller=None) -> MetricsRegistry:
-    """Fresh registry holding everything one finished run exposes."""
-    registry = MetricsRegistry()
-    harvest_run(registry, result, controller, faults=True)
-    return registry
 
 
 __all__ = [
@@ -211,8 +167,6 @@ __all__ = [
     "harvest_cores",
     "harvest_dram",
     "harvest_energy",
-    "harvest_faults",
     "harvest_monitor",
     "harvest_run",
-    "run_to_registry",
 ]

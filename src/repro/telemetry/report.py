@@ -117,7 +117,12 @@ def histogram_to_registry(registry, histograms: Dict[int, Counter],
 def certification_report(certificate, max_rows: int = 12) -> str:
     """Human-readable summary of a certification
     :class:`~repro.certify.harness.Certificate` — per-strategy MI
-    bounds, worst strategy first, and the aggregate verdict."""
+    bounds, worst strategy first, and the aggregate verdict.
+
+    A strategy that raised is tagged ``[ERROR]``, not ``[LEAK]``: it
+    measured nothing, so a certificate whose only failures are errors
+    says it is not certified because strategies errored, not that the
+    secret was read."""
     lines = [
         f"certification — scheme {certificate.scheme} "
         f"(engine {certificate.engine}, "
@@ -138,7 +143,10 @@ def certification_report(certificate, max_rows: int = 12) -> str:
                 f"capacity {verdict.capacity_bits:.6f}  "
                 f"{'exact-match' if verdict.exact_match else 'DIVERGED'}"
             )
-        tag = "pass" if verdict.passed else "LEAK"
+        if verdict.error_type is not None:
+            tag = "ERROR"
+        else:
+            tag = "pass" if verdict.passed else "LEAK"
         lines.append(f"  [{tag}] {verdict.strategy}: {detail}")
     if len(certificate.verdicts) > max_rows:
         lines.append(
@@ -149,11 +157,24 @@ def certification_report(certificate, max_rows: int = 12) -> str:
             f"  {len(certificate.skipped)} strategies skipped "
             f"(budget exhausted)"
         )
-    verdict = (
-        "CERTIFIED: no strategy extracted more than epsilon"
-        if certificate.certified
-        else "NOT CERTIFIED: at least one strategy read the secret"
+    errored = sum(
+        v.error_type is not None for v in certificate.verdicts
     )
+    if certificate.certified:
+        verdict = "CERTIFIED: no strategy extracted more than epsilon"
+    elif any(
+        v.error_type is None and not v.passed
+        for v in certificate.verdicts
+    ):
+        verdict = "NOT CERTIFIED: at least one strategy read the secret"
+    elif errored:
+        verdict = (
+            f"NOT CERTIFIED: {errored} "
+            f"{'strategy' if errored == 1 else 'strategies'} errored "
+            f"and no leak was measured"
+        )
+    else:
+        verdict = "NOT CERTIFIED: no strategy ran"
     lines.append(f"  => {verdict}")
     return "\n".join(lines)
 

@@ -1,9 +1,8 @@
-"""The live telemetry session: one object the whole stack reports into.
+"""The live telemetry session: observe one run event by event.
 
-A :class:`TelemetrySession` bundles the three telemetry surfaces —
-:class:`~repro.telemetry.registry.MetricsRegistry`,
-:class:`~repro.telemetry.collector.TraceCollector`, and
-:class:`~repro.telemetry.profiler.EngineProfiler` — behind the hook
+A :class:`TelemetrySession` bundles the two per-event surfaces —
+:class:`~repro.telemetry.registry.MetricsRegistry` and an optional
+:class:`~repro.telemetry.collector.TraceCollector` — behind the hook
 methods the simulation stack calls:
 
 * ``on_service`` — every slot grant, from
@@ -13,6 +12,14 @@ methods the simulation stack calls:
 * ``on_fault`` — every struck fault, from
   :meth:`repro.faults.FaultInjector.record`;
 * ``on_violation`` — every invariant violation, from the online monitor.
+
+It is the only telemetry object that reaches a controller, and
+attaching one makes the run *observed*: a trusted Fixed Service
+controller then issues command by command instead of settling its
+DRAM counters in closed form.  Span tracing and run timing belong to
+the driver instead (``SchemeOptions.tracer`` /
+:attr:`repro.sim.system.System.tracer`), so a traced run takes the
+same code path as an untraced one.
 
 **Zero overhead when absent** is the design rule: controllers hold
 ``self.telemetry = None`` and guard each hook behind one ``is None``
@@ -32,7 +39,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .collector import TraceCollector
-from .profiler import EngineProfiler
 from .registry import MetricsRegistry
 
 #: Service-trace kind codes -> human-readable event names.
@@ -48,7 +54,7 @@ KIND_NAMES: Dict[str, str] = {
 
 
 class TelemetrySession:
-    """Registry + collector + profiler behind the simulator's hooks.
+    """Registry + collector behind the simulator's per-event hooks.
 
     Parameters
     ----------
@@ -57,28 +63,17 @@ class TelemetrySession:
     collector:
         Optional cycle-accurate trace collector; ``None`` keeps the
         session metrics-only (no per-event records retained).
-    profile:
-        Arm an :class:`EngineProfiler`; the fast driver reports stride
-        sizes and wall time into it when present.
-    tracer:
-        Optional :class:`~repro.telemetry.spans.SpanTracer`; the engines
-        record run/phase/epoch spans into it when present (same single
-        ``is None`` guard as every other surface).
     """
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         collector: Optional[TraceCollector] = None,
-        profile: bool = False,
-        tracer=None,
     ) -> None:
         self.registry = registry if registry is not None else (
             MetricsRegistry()
         )
         self.collector = collector
-        self.profiler = EngineProfiler() if profile else None
-        self.tracer = tracer
         #: id(controller) -> {local domain: global domain} for
         #: composite controllers whose sub-controllers renumber domains.
         self._domain_maps: Dict[int, Dict[int, int]] = {}
@@ -220,9 +215,7 @@ class TelemetrySession:
         """
         from .compat import harvest_run
 
-        harvest_run(self.registry, result, controller, faults=False)
-        if self.profiler is not None:
-            self.profiler.to_registry(self.registry)
+        harvest_run(self.registry, result, controller)
 
     def close(self) -> None:
         """Flush and close the collector's sink, if any (idempotent)."""

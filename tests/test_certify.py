@@ -202,6 +202,60 @@ class TestVerdicts:
             CertificationRun(epsilon_bits=-1.0)
 
 
+def _report_of(*verdicts):
+    from repro.certify import Certificate
+    from repro.telemetry import certification_report
+
+    return certification_report(Certificate(
+        scheme="fs_rp_mc", engine="fast", epsilon_bits=1e-9,
+        fixed_service=True, verdicts=tuple(verdicts),
+    ))
+
+
+def _measured(name, passed=True):
+    return harness_mod.StrategyVerdict(
+        strategy=name, family="probe", seed=1, trials=1, samples=2,
+        exact_match=passed, mi_bits=0.0 if passed else 1.0,
+        mi_upper_bits=0.0 if passed else 1.0,
+        capacity_bits=0.0 if passed else 1.0, passed=passed,
+    )
+
+
+class TestReport:
+    """An errored strategy measured nothing: the report says so instead
+    of calling it a leak."""
+
+    ERRORED = harness_mod._error_verdict(
+        BATCH[0], "ConfigError", "plan refused"
+    )
+
+    def test_error_only_failure_is_reported_as_an_error(self):
+        text = _report_of(
+            self.ERRORED, *(_measured(f"ok/{i}") for i in range(4))
+        )
+        assert f"[ERROR] {BATCH[0].name}: ERROR ConfigError" in text
+        assert "[LEAK]" not in text
+        assert text.count("[pass]") == 4
+        assert text.endswith(
+            "=> NOT CERTIFIED: 1 strategy errored and no leak was "
+            "measured"
+        )
+        assert "read the secret" not in text
+
+    def test_a_measured_leak_still_reads_as_a_leak(self):
+        text = _report_of(self.ERRORED, _measured("leaky/0", False))
+        assert "[ERROR]" in text and "[LEAK] leaky/0" in text
+        assert text.endswith(
+            "=> NOT CERTIFIED: at least one strategy read the secret"
+        )
+
+    def test_certified_and_empty_batches(self):
+        assert _report_of(_measured("ok/0")).endswith(
+            "=> CERTIFIED: no strategy extracted more than epsilon"
+        )
+        assert _report_of().endswith("=> NOT CERTIFIED: no strategy ran")
+
+
 # ---------------------------------------------------------------------
 # Determinism, checkpointing, artifacts.
 # ---------------------------------------------------------------------

@@ -185,8 +185,8 @@ def test_monitor_equivalent(scheme, log_commands):
 def test_metrics_snapshot_equivalent_across_engines(scheme):
     """Full telemetry under both engines yields identical snapshots.
 
-    A fresh :class:`TelemetrySession` (registry + trace collector +
-    profiler) is attached per engine — sessions accumulate, so sharing
+    A fresh :class:`TelemetrySession` (registry + trace collector) is
+    attached per engine — sessions accumulate, so sharing
     one across engines would double every counter.  The comparable
     snapshot excludes volatile (wall-clock / engine-internal) metrics;
     everything else — service counters, command counters, harvested
@@ -200,9 +200,7 @@ def test_metrics_snapshot_equivalent_across_engines(scheme):
     snapshots = {}
     events = {}
     for engine in ("reference", "fast"):
-        session = TelemetrySession(
-            collector=TraceCollector(), profile=True
-        )
+        session = TelemetrySession(collector=TraceCollector())
         options = SchemeOptions(telemetry=session, monitor=True)
         config = SystemConfig(accesses_per_core=100)
         run_scheme(
@@ -238,13 +236,12 @@ def test_spans_armed_vs_disarmed_identical(scheme, engine):
     outputs = {}
     for armed in (False, True):
         tracer = SpanTracer() if armed else None
-        session = TelemetrySession(
-            collector=TraceCollector(), tracer=tracer
-        )
+        session = TelemetrySession(collector=TraceCollector())
         config = SystemConfig(accesses_per_core=100)
         result = run_scheme(
             scheme, config, suite_specs("mix1", config.num_cores),
-            SchemeOptions(telemetry=session), engine=engine,
+            SchemeOptions(telemetry=session, tracer=tracer),
+            engine=engine,
         )
         outputs[armed] = (
             json.dumps(session.registry.snapshot(), sort_keys=True),

@@ -36,9 +36,11 @@ from repro.workloads.spec import suite_specs
 from .engine_equivalence import MAX_CYCLES, assert_equivalent, run_both
 
 
-def _plan(kind: FaultKind, rate: float = 0.08,
-          seed: int = 7) -> FaultPlan:
-    return FaultPlan((FaultSpec(kind, rate),), seed)
+def _plan(kinds, rate: float = 0.08, seed: int = 7) -> FaultPlan:
+    """A plan arming one kind, or each of a tuple of kinds, at ``rate``."""
+    if isinstance(kinds, FaultKind):
+        kinds = (kinds,)
+    return FaultPlan(tuple(FaultSpec(k, rate) for k in kinds), seed)
 
 
 def _events(controller):
@@ -48,8 +50,8 @@ def _events(controller):
     return [(e.kind, e.domain, e.cycle) for e in injector.events]
 
 
-def _check_faulted(scheme: str, kind: FaultKind, **kwargs) -> None:
-    options = SchemeOptions(faults=_plan(kind))
+def _check_faulted(scheme: str, kinds, **kwargs) -> None:
+    options = SchemeOptions(faults=_plan(kinds))
     outcomes = run_both(scheme, options=options, accesses=100, **kwargs)
     assert_equivalent(outcomes)
     # The fault *event logs* must agree too: same kinds, same domains,
@@ -170,6 +172,30 @@ def test_multi_fault_campaign_equivalent():
             log_commands=log_commands,
         )
         assert_equivalent(outcomes)
+
+
+@pytest.mark.parametrize(
+    "workload, cores, seed",
+    [("mix1", 4, 1), ("mix1", 8, 2), ("libquantum", 4, 3)],
+)
+@pytest.mark.parametrize(
+    "slot_kind",
+    [FaultKind.DROP_COMMAND, FaultKind.DUPLICATE_COMMAND,
+     FaultKind.DELAY_SLOT, FaultKind.REFRESH_COLLISION],
+    ids=str,
+)
+def test_multi_kind_fault_logs_equivalent(slot_kind, workload, cores,
+                                          seed):
+    """Queue overflow with a slot-level fault: the fast driver enqueues
+    (and logs the overflow) at the end of its stride, before the slot
+    decisions inside it, so only a log kept in cycle order reads the
+    same under both engines."""
+    for log_commands in (True, False):
+        _check_faulted(
+            "fs_rp", (FaultKind.QUEUE_OVERFLOW, slot_kind),
+            workload=workload, cores=cores, seed=seed,
+            log_commands=log_commands,
+        )
 
 
 def _faulted_controller(scheme: str, kind: FaultKind):

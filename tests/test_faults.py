@@ -192,6 +192,28 @@ class TestInjectorDeterminism:
         # whose episode has lapsed without new enqueues instead.
         assert inj.effective_capacity(1, 64) == 64
 
+    def test_event_log_in_cycle_order_and_cap_keeps_earliest(self):
+        """The log is ordered by (cycle, kind, domain), whatever order
+        the strikes are recorded in, and the cap keeps the earliest."""
+        inj = FULL_CAMPAIGN.injector()
+        inj.MAX_EVENTS = 4
+        for kind, domain, cycle in [
+            (FaultKind.QUEUE_OVERFLOW, 1, 40),
+            (FaultKind.DROP_COMMAND, 0, 90),
+            (FaultKind.DELAY_SLOT, 2, 40),
+            (FaultKind.QUEUE_OVERFLOW, 0, 40),
+            (FaultKind.DROP_COMMAND, 3, 10),
+            (FaultKind.DELAY_SLOT, 1, 70),
+        ]:
+            inj.record(kind, domain, cycle)
+        assert [(e.cycle, e.kind, e.domain) for e in inj.events] == [
+            (10, FaultKind.DROP_COMMAND, 3),
+            (40, FaultKind.DELAY_SLOT, 2),
+            (40, FaultKind.QUEUE_OVERFLOW, 0),
+            (40, FaultKind.QUEUE_OVERFLOW, 1),
+        ]
+        assert inj.total == 6  # counts stay exact past the cap
+
 
 # ---------------------------------------------------------------------------
 # (a) Faulted runs stay on the timetable: clean monitor, work completes.

@@ -184,11 +184,10 @@ def test_write_trace_dict_bad_path_is_friendly(tmp_path):
 
 def _engine_spans(engine, scheme="fs_rp"):
     tracer = SpanTracer()
-    session = TelemetrySession(tracer=tracer)
     config = SystemConfig(accesses_per_core=60).with_cores(2)
     result = run_scheme(
         scheme, config, suite_specs("mix1", 2),
-        SchemeOptions(telemetry=session), engine=engine,
+        SchemeOptions(tracer=tracer), engine=engine,
     )
     return tracer, result
 
@@ -230,7 +229,7 @@ def test_render_report_all_sections(tmp_path):
     from repro.telemetry import inter_service_histogram, write_report
 
     tracer, result = _engine_spans("fast")
-    session = TelemetrySession(profile=True)
+    session = TelemetrySession()
     session.registry.counter("report_demo_total", "demo").inc(3)
     document = render_report(
         "fs_rp — test report",
@@ -247,6 +246,29 @@ def test_render_report_all_sections(tmp_path):
     out = tmp_path / "r.html"
     write_report(str(out), document)
     assert out.read_text() == document
+
+
+def test_cli_report_harvests_the_run_once(tmp_path):
+    """``repro report`` folds the run's stats into its registry once:
+    every harvested counter equals the run's own value."""
+    from repro.cli import main
+
+    out = tmp_path / "r.html"
+    code = main([
+        "report", "fs_rp", "mcf", "--cores", "2", "--accesses", "40",
+        "--output", str(out),
+    ])
+    assert code == 0
+    result = run_scheme(
+        "fs_rp", SystemConfig(accesses_per_core=40).with_cores(2),
+        suite_specs("mcf", 2), engine="fast",
+    )
+    row = (
+        "<tr><td>controller_demand_reads_total</td><td>counter</td>"
+        f"<td>—</td><td class=\"num\">{result.stats.demand_reads}</td>"
+    )
+    assert row in out.read_text()
+    assert "Span flamegraph summary" in out.read_text()
 
 
 def test_render_report_escapes_html():

@@ -177,6 +177,19 @@ class TestWorkerDeterminism:
                 options=SchemeOptions(telemetry=TelemetrySession()),
             )
 
+    def test_tracer_options_rejected_in_parallel(self):
+        """A parallel grid is traced with collect_spans=True; a tracer
+        in the options cannot reach worker processes."""
+        from repro.telemetry import SpanTracer
+
+        sweep = Sweep(CFG, workers=2)
+        with pytest.raises(ConfigError, match="collect_spans"):
+            sweep.run_grid(
+                ["fcfs"], ["mcf"],
+                options=SchemeOptions(tracer=SpanTracer()),
+            )
+        assert not sweep.points and not sweep.failed_points
+
 
 class TestCustomSchemeTransport:
     @pytest.fixture(autouse=True)

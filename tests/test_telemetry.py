@@ -72,7 +72,7 @@ def test_enabling_telemetry_does_not_change_observables(scheme):
     """Collection is passive: every observable is bit-identical with
     and without a session attached."""
     bare, _ = _run(scheme)
-    session = TelemetrySession(collector=TraceCollector(), profile=True)
+    session = TelemetrySession(collector=TraceCollector())
     observed, _ = _run(scheme, SchemeOptions(telemetry=session))
     assert observed.cycles == bare.cycles
     assert observed.service_trace == bare.service_trace
@@ -257,7 +257,7 @@ def test_prometheus_exposition_format():
 def test_prometheus_every_family_has_help_and_type():
     """Exposition-format conformance: each family leads with exactly
     one ``# HELP`` and one ``# TYPE`` line, in that order."""
-    session = TelemetrySession(profile=True)
+    session = TelemetrySession()
     result, controller = _run(
         "fs_bp", SchemeOptions(telemetry=session), accesses=40
     )
@@ -307,7 +307,7 @@ def test_prometheus_parse_round_trips_whole_run():
     sample value — the conformance gate for external scrapers."""
     from repro.telemetry import parse_prometheus_text
 
-    session = TelemetrySession(profile=True)
+    session = TelemetrySession()
     result, controller = _run(
         "fs_bp", SchemeOptions(telemetry=session), accesses=40
     )
@@ -553,12 +553,12 @@ def test_violations_stream_live():
 
 
 # ---------------------------------------------------------------------
-# Harvest / engine profile.
+# Harvest.
 # ---------------------------------------------------------------------
 
 
 def test_harvest_covers_legacy_structs():
-    session = TelemetrySession(profile=True)
+    session = TelemetrySession()
     config = _small_config()
     result = run_scheme(
         "fs_bp", config, suite_specs("mix1", 2),
@@ -578,11 +578,6 @@ def test_harvest_covers_legacy_structs():
     for domain in result.service_trace:
         assert spread.value(domain=domain) == 1
     assert registry.get("service_cadence_degenerate").value() == 1
-    # Fast-engine profile: volatile, present, plausible.
-    assert registry.get("engine_driver_iterations_total").volatile
-    assert registry.get("engine_driver_iterations_total").value() > 0
-    assert registry.get("engine_wall_seconds").value() > 0
-    assert "engine_wall_seconds" not in registry.snapshot()
 
 
 def test_multichannel_domains_relabeled_globally():
