@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 
 from ..dram.commands import OpType, Request
 from ..sim.config import SystemConfig
+from ..sim.openloop import drive_open_loop
 from ..sim.runner import SchemeOptions, build_controller, partition_for
 
 
@@ -63,24 +64,12 @@ def measure_load_point(
                 domain=domain, arrival=int(t), line=line,
             ))
             t += period
-    requests.sort(key=lambda r: (r.arrival, r.req_id))
-
-    released: List[Request] = []
-    clock, idx = 0, 0
-    deadline = duration * 4  # allow queues to drain, bounded
-    while idx < len(requests) or _busy(controller):
-        nxt = controller.next_event()
-        arrival = requests[idx].arrival if idx < len(requests) else None
-        candidates = [c for c in (nxt, arrival) if c is not None]
-        if not candidates:
-            break
-        clock = max(clock + 1, min(candidates))
-        if clock > deadline:
-            break
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            controller.enqueue(requests[idx])
-            idx += 1
-        released.extend(controller.advance(clock))
+    # Creation order is req_id order, so the driver's stable sort by
+    # arrival enqueues same-cycle requests by (arrival, req_id).  The
+    # bound lets the queues drain after the last arrival.
+    released, clock = drive_open_loop(
+        controller, requests, stop_after=duration * 4
+    )
 
     reads = [r for r in released if r.latency is not None]
     offered_reads = sum(1 for r in requests if r.is_read)
@@ -94,12 +83,6 @@ def measure_load_point(
         mean_latency=mean_latency,
         completion=len(reads) / offered_reads if offered_reads else 0.0,
     )
-
-
-def _busy(controller) -> bool:
-    if hasattr(controller, "busy"):
-        return controller.busy()
-    return bool(controller.pending() or controller._release_heap)
 
 
 def bandwidth_latency_curve(

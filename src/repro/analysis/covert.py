@@ -7,9 +7,10 @@ domain continuously probes memory and measures its own latencies.  Under
 a contended scheduler the receiver's per-window mean latency tracks the
 sender's bits; under FS it is flat.
 
-:func:`run_covert_channel` drives a controller open-loop (no cores) so
-the channel is measured in isolation, and returns the received latency
-signal, the decoded bits, and the bit error rate.
+:func:`run_covert_channel` drives a controller open-loop (no cores,
+through :func:`repro.sim.openloop.drive_open_loop`) so the channel is
+measured in isolation, and returns the received latency signal, the
+decoded bits, and the bit error rate.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..dram.commands import OpType, Request
-from ..mapping.partition import PartitionPolicy
 from ..sim.config import SystemConfig
+from ..sim.openloop import drive_open_loop
 from ..sim.runner import SchemeOptions, build_controller, partition_for
 
 
@@ -104,24 +105,10 @@ def run_covert_channel(
                 domain=1, arrival=t, line=line,
             ))
             t += burst_period
-    requests.sort(key=lambda r: r.arrival)
-
-    released: List[Request] = []
-    clock = 0
-    idx = 0
-    while idx < len(requests) or _busy(controller):
-        ctrl_next = controller.next_event()
-        arrival = requests[idx].arrival if idx < len(requests) else None
-        candidates = [c for c in (ctrl_next, arrival) if c is not None]
-        if not candidates:
-            break
-        clock = max(clock + 1, min(candidates))
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            controller.enqueue(requests[idx])
-            idx += 1
-        released.extend(controller.advance(clock))
-        if clock > total_cycles * 50:
-            break  # scheduler cannot keep up; stop measuring
+    # Stop measuring if the scheduler cannot keep up.
+    released, _ = drive_open_loop(
+        controller, requests, stop_after=total_cycles * 50
+    )
 
     window_means = window_latency_means(released, window, len(bits))
     decoded = threshold_decode(window_means)
@@ -131,12 +118,6 @@ def run_covert_channel(
         decoded_bits=decoded,
         window_means=tuple(window_means),
     )
-
-
-def _busy(controller) -> bool:
-    if hasattr(controller, "busy"):
-        return controller.busy()
-    return bool(controller.pending() or controller._release_heap)
 
 
 def window_latency_means(

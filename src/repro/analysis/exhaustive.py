@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..dram.commands import OpType, Request
 from ..sim.config import SystemConfig
+from ..sim.openloop import drive_open_loop
 from ..sim.runner import SchemeOptions, build_controller, partition_for
 
 #: One co-runner action at a decision point.
@@ -118,28 +119,7 @@ def _run_pattern(
                 address=partition.decode(1, line),
                 domain=1, arrival=i * period + j, line=line,
             ))
-    requests.sort(key=lambda r: (r.arrival, r.domain))
-    releases: List[int] = []
-    clock, idx = 0, 0
-    while idx < len(requests) or _busy(controller):
-        nxt = controller.next_event()
-        arrival = requests[idx].arrival if idx < len(requests) else None
-        candidates = [c for c in (nxt, arrival) if c is not None]
-        if not candidates:
-            break
-        clock = max(clock + 1, min(candidates))
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            controller.enqueue(requests[idx])
-            idx += 1
-        for request in controller.advance(clock):
-            if request.domain == 0:
-                releases.append(request.release)
-        if clock > 200_000:  # pragma: no cover - safety bound
-            break
-    return tuple(releases)
-
-
-def _busy(controller) -> bool:
-    if hasattr(controller, "busy"):
-        return controller.busy()
-    return bool(controller.pending() or controller._release_heap)
+    # The victim's requests come first, so the driver's stable sort by
+    # arrival enqueues same-cycle requests by (arrival, domain).
+    released, _ = drive_open_loop(controller, requests, stop_after=200_000)
+    return tuple(r.release for r in released if r.domain == 0)

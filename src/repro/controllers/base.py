@@ -203,6 +203,12 @@ class MemoryController(abc.ABC):
         """Next cycle > now at which this controller can make progress,
         or None if it is idle until new requests arrive."""
 
+    def busy(self) -> bool:
+        """Queued demand or an undelivered release.  Dummy slots alone
+        never count: an FS pipeline ticks forever, but there is nothing
+        left to wait for (see :func:`repro.sim.openloop.drive_open_loop`)."""
+        return bool(self.pending() or self._release_heap)
+
     def drain_deadline(self) -> Optional[int]:
         """Earliest cycle by which every accepted request will have been
         released, if the controller can tell; used for clean shutdown."""

@@ -256,13 +256,6 @@ class FsControllerBase(MemoryController):
             candidates.append(self._release_heap[0][0])
         return max(self.now + 1, min(candidates))
 
-    def busy(self) -> bool:
-        """Outstanding *demand* work; dummy slots alone never count (the
-        FS pipeline ticks forever, but there is nothing left to wait for)."""
-        return bool(
-            self._release_heap or any(self._queues.values())
-        )
-
     def _choose_path(self) -> Optional[list]:
         """Settle in closed form exactly when the commands are trusted
         and nothing observes them one by one: no command log, online

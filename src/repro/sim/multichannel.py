@@ -135,6 +135,8 @@ class MultiChannelFsController(MemoryController):
         return min(deadlines) if deadlines else None
 
     def busy(self) -> bool:
+        """Whether any channel is busy: the sub-controllers hold the
+        release heaps, so the base rule would miss their releases."""
         return any(c.busy() for c in self._sub.values())
 
     def release_horizon(self) -> Optional[int]:

@@ -26,26 +26,10 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR3_1600_X4, TimingParams
 from repro.mapping.address import Geometry
 from repro.mapping.partition import RankPartition
+from repro.sim.openloop import drive_open_loop
 
 P = DDR3_1600_X4
 G = Geometry()
-
-
-def drive_controller(ctrl, requests):
-    requests = sorted(requests, key=lambda r: (r.arrival, r.req_id))
-    clock, idx = 0, 0
-    while idx < len(requests) or ctrl.busy():
-        nxt = ctrl.next_event()
-        arr = requests[idx].arrival if idx < len(requests) else None
-        cands = [c for c in (nxt, arr) if c is not None]
-        if not cands:
-            break
-        clock = max(clock + 1, min(cands))
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            ctrl.enqueue(requests[idx])
-            idx += 1
-        ctrl.advance(clock)
-    return clock
 
 
 class TestRandomizedFsRuns:
@@ -80,7 +64,7 @@ class TestRandomizedFsRuns:
                 arrival=t, line=line,
             ))
             t += rng.randrange(0, spacing)
-        drive_controller(ctrl, requests)
+        drive_open_loop(ctrl, requests)
         assert TimingChecker(P).check(ctrl.command_log) == []
 
 
@@ -141,5 +125,5 @@ class TestRandomizedTimingParameters:
                 arrival=t, line=line,
             ))
             t += rng.randrange(0, 6)
-        drive_controller(ctrl, requests)
+        drive_open_loop(ctrl, requests)
         assert TimingChecker(params).check(ctrl.command_log) == []

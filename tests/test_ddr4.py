@@ -60,6 +60,7 @@ class TestDdr4Pipelines:
         from repro.dram.system import DramSystem
         from repro.mapping.address import Geometry
         from repro.mapping.partition import RankPartition
+        from repro.sim.openloop import drive_open_loop
 
         dram = DramSystem(DDR4_2400)
         partition = RankPartition(Geometry(), 8)
@@ -78,16 +79,5 @@ class TestDdr4Pipelines:
                 arrival=t, line=line,
             ))
             t += rng.randrange(0, 8)
-        clock, idx = 0, 0
-        while idx < len(requests) or ctrl.busy():
-            nxt = ctrl.next_event()
-            arr = requests[idx].arrival if idx < len(requests) else None
-            cands = [c for c in (nxt, arr) if c is not None]
-            if not cands:
-                break
-            clock = max(clock + 1, min(cands))
-            while idx < len(requests) and requests[idx].arrival <= clock:
-                ctrl.enqueue(requests[idx])
-                idx += 1
-            ctrl.advance(clock)
+        drive_open_loop(ctrl, requests)
         assert TimingChecker(DDR4_2400).check(ctrl.command_log) == []

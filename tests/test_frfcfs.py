@@ -11,6 +11,7 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR3_1600_X4
 from repro.mapping.address import Geometry
 from repro.mapping.partition import NoPartition
+from repro.sim.openloop import drive_open_loop
 
 P = DDR3_1600_X4
 G = Geometry()
@@ -19,23 +20,6 @@ G = Geometry()
 def make():
     dram = DramSystem(P)
     return FrFcfsController(dram, 8, log_commands=True), NoPartition(G, 8)
-
-
-def drive(ctrl, requests):
-    requests = sorted(requests, key=lambda r: r.arrival)
-    released, clock, idx = [], 0, 0
-    while idx < len(requests) or ctrl.pending() or ctrl._release_heap:
-        nxt = ctrl.next_event()
-        arr = requests[idx].arrival if idx < len(requests) else None
-        cands = [c for c in (nxt, arr) if c is not None]
-        if not cands:
-            break
-        clock = max(clock + 1, min(cands))
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            ctrl.enqueue(requests[idx])
-            idx += 1
-        released += ctrl.advance(clock)
-    return released, clock
 
 
 def read(part, domain, line, arrival):
@@ -61,7 +45,7 @@ class TestCorrectness:
             else:
                 reqs.append(write(part, d, rng.randrange(50_000), t))
             t += rng.randrange(0, 8)
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         assert len(released) == sum(1 for r in reqs if r.is_read)
 
     def test_commands_pass_jedec_checker(self):
@@ -76,7 +60,7 @@ class TestCorrectness:
             reqs.append(Request(op=op, address=part.decode(d, line),
                                 domain=d, arrival=t, line=line))
             t += rng.randrange(0, 5)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert TimingChecker(P).check(ctrl.command_log) == []
 
 
@@ -85,14 +69,14 @@ class TestRowHits:
         ctrl, part = make()
         # Sequential lines share a row: open-page should hit.
         reqs = [read(part, 0, i, i * 30) for i in range(20)]
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         hits = sum(1 for r in released if r.row_hit)
         assert hits >= 15
 
     def test_row_hit_is_faster(self):
         ctrl, part = make()
         reqs = [read(part, 0, 0, 0), read(part, 0, 1, 0)]
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         lat = sorted(r.latency for r in released)
         # Second access rides the open row: only tCCD + burst later.
         assert lat[1] - lat[0] <= P.tCCD + P.tBURST
@@ -107,7 +91,7 @@ class TestRowHits:
             read(part, 0, row_stride * 8, 1),  # same bank, other row
             read(part, 0, 1, 2),               # row hit
         ]
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         by_line = {r.line: r for r in released}
         assert by_line[1].data_start < by_line[row_stride * 8].data_start
 
@@ -116,14 +100,14 @@ class TestWriteDrain:
     def test_writes_drain_at_high_watermark(self):
         ctrl, part = make()
         reqs = [write(part, 0, i * 997, i) for i in range(40)]
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert ctrl.stats.demand_writes == 40
 
     def test_reads_prioritized_over_writes(self):
         ctrl, part = make()
         reqs = [write(part, 0, 1000 + i, 0) for i in range(8)]
         reqs.append(read(part, 1, 5, 0))
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         # The read should complete quickly despite queued writes.
         assert released[0].latency < 200
 
@@ -131,7 +115,7 @@ class TestWriteDrain:
         ctrl, part = make()
         w = write(part, 0, 123, 0)
         r = read(part, 0, 123, 1)
-        released, _ = drive(ctrl, [w, r])
+        released, _ = drive_open_loop(ctrl, [w, r])
         assert released[0].latency <= 2  # forwarded, no DRAM trip
 
 
@@ -141,7 +125,7 @@ class TestStarvation:
         # A stream of row hits to one row plus one conflicting request.
         reqs = [read(part, 0, i % 32, i * 5) for i in range(300)]
         victim = read(part, 0, G.columns * 64, 10)  # same bank, other row
-        released, _ = drive(ctrl, reqs + [victim])
+        released, _ = drive_open_loop(ctrl, reqs + [victim])
         v = next(r for r in released if r.line == G.columns * 64)
         assert v.latency < ctrl.STARVATION_LIMIT + 500
 

@@ -17,6 +17,7 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR3_1600_X4
 from repro.mapping.address import Geometry
 from repro.mapping.partition import NoPartition, RankPartition
+from repro.sim.openloop import drive_open_loop
 
 P = DDR3_1600_X4
 G = Geometry()
@@ -31,27 +32,6 @@ def make_rp_controller(num_domains=8, **kwargs):
         dram, schedule, partition, log_commands=True, **kwargs
     )
     return ctrl, partition
-
-
-def drive(ctrl, requests, horizon=None):
-    """Deliver requests on time and run the controller dry."""
-    requests = sorted(requests, key=lambda r: r.arrival)
-    released = []
-    clock, idx = 0, 0
-    while idx < len(requests) or ctrl.busy():
-        nxt = ctrl.next_event()
-        arr = requests[idx].arrival if idx < len(requests) else None
-        cands = [c for c in (nxt, arr) if c is not None]
-        if not cands:
-            break
-        clock = max(clock + 1, min(cands))
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            ctrl.enqueue(requests[idx])
-            idx += 1
-        released += ctrl.advance(clock)
-        if horizon and clock > horizon:
-            break
-    return released, clock
 
 
 def random_requests(partition, n, num_domains=8, seed=0, read_frac=0.7,
@@ -74,21 +54,21 @@ class TestBasicService:
     def test_all_reads_released(self):
         ctrl, part = make_rp_controller()
         reqs = random_requests(part, 200)
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         expected = sum(1 for r in reqs if r.is_read)
         assert len(released) == expected
 
     def test_commands_pass_jedec_checker(self):
         ctrl, part = make_rp_controller()
         reqs = random_requests(part, 300, spacing=6)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert TimingChecker(P).check(ctrl.command_log) == []
 
     def test_service_cadence_is_slot_aligned(self):
         """A domain's data transfers happen only at its own slot phase."""
         ctrl, part = make_rp_controller()
         reqs = random_requests(part, 200)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         sched = ctrl.schedule
         for d in range(8):
             offsets = {
@@ -107,7 +87,7 @@ class TestBasicService:
                     domain=0, arrival=i * 56, line=i * 7)
             for i in range(50)
         ]
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert ctrl.stats.dummies > 200
 
     def test_read_latency_bounded_by_interval_when_unloaded(self):
@@ -117,7 +97,7 @@ class TestBasicService:
                     domain=0, arrival=i * 200, line=i * 131)
             for i in range(30)
         ]
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         for r in released:
             assert r.latency <= 2 * ctrl.schedule.interval_length
 
@@ -138,7 +118,7 @@ class TestTripleAlternationController:
             dram, schedule, partition, log_commands=True
         )
         reqs = random_requests(partition, 300, spacing=8)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert TimingChecker(P).check(ctrl.command_log) == []
         # Reconstruct each command's slot and check the bank class.
         sched = schedule
@@ -156,7 +136,7 @@ class TestSmallThreadCounts:
     def test_two_domains_never_violate(self):
         ctrl, part = make_rp_controller(num_domains=2)
         reqs = random_requests(part, 300, num_domains=2, spacing=4)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert TimingChecker(P).check(ctrl.command_log) == []
 
     def test_two_domains_may_bubble_or_reorder(self):
@@ -169,13 +149,13 @@ class TestSmallThreadCounts:
                 op=op, address=part.decode(0, i * 31), domain=0,
                 arrival=i * 3, line=i * 31,
             ))
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         assert len(released) == 50  # every read still completes
 
     def test_four_domains_never_violate(self):
         ctrl, part = make_rp_controller(num_domains=4)
         reqs = random_requests(part, 300, num_domains=4, spacing=4)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert TimingChecker(P).check(ctrl.command_log) == []
 
 
@@ -185,7 +165,7 @@ class TestEnergyOptions:
             energy_options=FsEnergyOptions(suppress_dummies=True)
         )
         reqs = random_requests(part, 100)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert ctrl.stats.suppressed_dummies == ctrl.stats.dummies
         # No dummy commands on the bus: every logged command belongs to a
         # demand/prefetch request.
@@ -201,7 +181,7 @@ class TestEnergyOptions:
                     domain=0, arrival=i * 56, line=i % 4)
             for i in range(40)
         ]
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert ctrl.adjustments.rowhit_saved_activates > 10
 
     def test_power_down_idles_ranks_behaviourally(self):
@@ -218,7 +198,7 @@ class TestEnergyOptions:
                     domain=0, arrival=i * 56, line=i)
             for i in range(30)
         ]
-        _, clock = drive(ctrl, reqs)
+        _, clock = drive_open_loop(ctrl, reqs)
         ctrl.dram.finalize(clock)
         pd_cycles = sum(
             rank.energy.cycles_power_down
@@ -239,7 +219,7 @@ class TestEnergyOptions:
                     domain=2, arrival=i * 280, line=i * 7)
             for i in range(20)
         ]
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         assert len(released) == 20
         assert TimingChecker(P).check(ctrl.command_log) == []
 
@@ -281,7 +261,7 @@ class TestShapingInvariant:
         elapsed intervals — the 'constant injection rate' invariant."""
         ctrl, part = make_rp_controller()
         reqs = random_requests(part, 150)
-        _, clock = drive(ctrl, reqs)
+        _, clock = drive_open_loop(ctrl, reqs)
         intervals_done = (
             clock - ctrl.schedule.lead
         ) // ctrl.schedule.interval_length

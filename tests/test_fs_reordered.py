@@ -11,6 +11,7 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR3_1600_X4
 from repro.mapping.address import Geometry
 from repro.mapping.partition import BankPartition
+from repro.sim.openloop import drive_open_loop
 
 P = DDR3_1600_X4
 G = Geometry()
@@ -23,23 +24,6 @@ def make_controller(num_domains=8):
         dram, partition, num_domains, log_commands=True
     )
     return ctrl, partition
-
-
-def drive(ctrl, requests):
-    requests = sorted(requests, key=lambda r: r.arrival)
-    released, clock, idx = [], 0, 0
-    while idx < len(requests) or ctrl.busy():
-        nxt = ctrl.next_event()
-        arr = requests[idx].arrival if idx < len(requests) else None
-        cands = [c for c in (nxt, arr) if c is not None]
-        if not cands:
-            break
-        clock = max(clock + 1, min(cands))
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            ctrl.enqueue(requests[idx])
-            idx += 1
-        released += ctrl.advance(clock)
-    return released, clock
 
 
 def random_requests(partition, n, num_domains=8, seed=3, spacing=10):
@@ -61,13 +45,13 @@ class TestCorrectness:
     def test_all_reads_released(self):
         ctrl, part = make_controller()
         reqs = random_requests(part, 250)
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         assert len(released) == sum(1 for r in reqs if r.is_read)
 
     def test_commands_pass_jedec_checker(self):
         ctrl, part = make_controller()
         reqs = random_requests(part, 300, spacing=5)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         assert TimingChecker(P).check(ctrl.command_log) == []
 
     def test_interval_length_is_63(self):
@@ -87,7 +71,7 @@ class TestReordering:
     def test_reads_precede_writes_within_interval(self):
         ctrl, part = make_controller()
         reqs = random_requests(part, 200, spacing=4)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         q = ctrl.geometry.interval_length
         by_interval = {}
         for cmd in ctrl.command_log:
@@ -109,7 +93,7 @@ class TestReordering:
     def test_data_slots_on_six_cycle_pitch(self):
         ctrl, part = make_controller()
         reqs = random_requests(part, 200, spacing=4)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         q = ctrl.geometry.interval_length
         for cmd in ctrl.command_log:
             if not cmd.type.is_column:
@@ -124,7 +108,7 @@ class TestEnMasseRelease:
     def test_reads_release_at_interval_end(self):
         ctrl, part = make_controller()
         reqs = random_requests(part, 150, spacing=8)
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         q = ctrl.geometry.interval_length
         last_slot_offset = (
             (ctrl.geometry.num_domains - 1) * ctrl.geometry.data_gap
@@ -144,6 +128,6 @@ class TestEnMasseRelease:
             Request(op=OpType.READ, address=part.decode(1, 22), domain=1,
                     arrival=0, line=22),
         ]
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         assert len(released) == 2
         assert released[0].release == released[1].release

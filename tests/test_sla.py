@@ -96,6 +96,7 @@ class TestSlaController:
         from repro.dram.system import DramSystem
         from repro.mapping.address import Geometry
         from repro.mapping.partition import RankPartition
+        from repro.sim.openloop import drive_open_loop
 
         assignment = [2, 1, 1, 1, 1, 1, 1]  # 7 domains, 8 slots
         schedule = build_sla_schedule(P, SharingLevel.RANK, assignment)
@@ -116,19 +117,7 @@ class TestSlaController:
                 domain=d, arrival=t, line=line,
             ))
             t += 3
-        requests.sort(key=lambda r: r.arrival)
-        clock, idx = 0, 0
-        while idx < len(requests) or ctrl.busy():
-            nxt = ctrl.next_event()
-            arr = requests[idx].arrival if idx < len(requests) else None
-            cands = [c for c in (nxt, arr) if c is not None]
-            if not cands:
-                break
-            clock = max(clock + 1, min(cands))
-            while idx < len(requests) and requests[idx].arrival <= clock:
-                ctrl.enqueue(requests[idx])
-                idx += 1
-            ctrl.advance(clock)
+        drive_open_loop(ctrl, requests)
         assert TimingChecker(P).check(ctrl.command_log) == []
         served = {d: len(ctrl.service_trace[d]) for d in range(7)}
         # Domain 0 gets ~2x the service of everyone else.

@@ -15,6 +15,7 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR3_1600_X4
 from repro.mapping.address import Geometry
 from repro.mapping.partition import BankPartition, NoPartition
+from repro.sim.openloop import drive_open_loop
 
 P = DDR3_1600_X4
 G = Geometry()
@@ -31,23 +32,6 @@ def make(turn_length=60, bank_partitioned=True, num_domains=8):
         bank_partitioned=bank_partitioned, log_commands=True,
     )
     return ctrl, part
-
-
-def drive(ctrl, requests):
-    requests = sorted(requests, key=lambda r: r.arrival)
-    released, clock, idx = [], 0, 0
-    while idx < len(requests) or ctrl.pending() or ctrl._release_heap:
-        nxt = ctrl.next_event()
-        arr = requests[idx].arrival if idx < len(requests) else None
-        cands = [c for c in (nxt, arr) if c is not None]
-        if not cands:
-            break
-        clock = max(clock + 1, min(cands))
-        while idx < len(requests) and requests[idx].arrival <= clock:
-            ctrl.enqueue(requests[idx])
-            idx += 1
-        released += ctrl.advance(clock)
-    return released, clock
 
 
 class TestDeadTime:
@@ -107,7 +91,7 @@ class TestTurnOwnership:
             reqs.append(Request(op=op, address=part.decode(d, line),
                                 domain=d, arrival=t, line=line))
             t += rng.randrange(0, 10)
-        drive(ctrl, reqs)
+        drive_open_loop(ctrl, reqs)
         for domain, events in ctrl.service_trace.items():
             for cycle, _ in events:
                 owner, start, deadline = ctrl.turn_of(cycle)
@@ -131,7 +115,7 @@ class TestCorrectness:
             reqs.append(Request(op=op, address=part.decode(d, line),
                                 domain=d, arrival=t, line=line))
             t += rng.randrange(0, 8)
-        released, _ = drive(ctrl, reqs)
+        released, _ = drive_open_loop(ctrl, reqs)
         assert len(released) == sum(1 for r in reqs if r.is_read)
         assert TimingChecker(P).check(ctrl.command_log) == []
 
@@ -144,7 +128,7 @@ class TestQueuingBehaviour:
         arrival = 8 * 60  # start of domain 0's second rotation
         req = Request(op=OpType.READ, address=part.decode(7, 42),
                       domain=7, arrival=arrival, line=42)
-        released, _ = drive(ctrl, [req])
+        released, _ = drive_open_loop(ctrl, [req])
         assert released[0].latency >= 7 * 60 - 60
 
     def test_longer_turns_hurt_single_thread_latency(self):
@@ -153,6 +137,6 @@ class TestQueuingBehaviour:
             ctrl, part = make(turn_length=turn)
             req = Request(op=OpType.READ, address=part.decode(3, 7),
                           domain=3, arrival=1, line=7)
-            released, _ = drive(ctrl, [req])
+            released, _ = drive_open_loop(ctrl, [req])
             lat[turn] = released[0].latency
         assert lat[156] > lat[60]
