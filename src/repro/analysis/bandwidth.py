@@ -29,9 +29,12 @@ class LoadPoint:
     offered_per_100: float
     #: Sustained data-bus utilization.
     utilization: float
-    #: Mean demand-read latency in cycles.
+    #: Mean latency in cycles of the demand reads released before the
+    #: measurement bound (``4 * duration``); reads still queued there
+    #: are left out, so past the knee this is the survivors' mean.
     mean_latency: float
-    #: Fraction of offered requests completed inside the measurement.
+    #: Fraction of the offered demand reads released before the
+    #: measurement bound (writes are not counted).
     completion: float
 
 

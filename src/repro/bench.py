@@ -35,8 +35,9 @@ like every other batch in the repository: ``workers=N`` fans the cases
 over spawn-started processes (each case's throughput is still measured
 inside its own process, but co-running cases share the machine — use
 workers for wall-clock of the whole suite, serial for the least noisy
-per-case numbers), and a ``checkpoint`` path makes a killed suite
-resume without re-running finished cases.
+per-case numbers), and a ``checkpoint`` path makes a killed suite,
+rerun on the same file, replay the cases that finished instead of
+re-running them.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ from .telemetry.log import get_logger
 
 #: Ledger entry schema version (bump on incompatible change).
 SCHEMA_VERSION = 1
-
-#: Suite checkpoint schema version (bump on incompatible change).
-CHECKPOINT_VERSION = 1
 
 #: Default relative regression tolerance (15%): generous enough for
 #: shared-runner noise, tight enough to catch a real >=20% regression.
@@ -312,11 +310,11 @@ def run_suite(
     """Run the pinned suite and return its metrics (suite order).
 
     One substrate batch: ``workers=N`` fans the cases over processes,
-    ``checkpoint`` resumes a killed suite without re-running finished
-    cases (keyed on the suite scale, so a checkpoint from a different
-    scale is discarded), ``fresh`` deliberately discards any existing
-    checkpoint.  A failing case fails the whole suite — a performance
-    ledger with silently missing numbers would be worse than no entry.
+    ``checkpoint`` replays the cases a killed suite finished (each keyed
+    on its case and scale, so a checkpoint from another scale misses),
+    ``fresh`` deliberately discards any existing checkpoint.  A failing
+    case fails the whole suite — a performance ledger with silently
+    missing numbers would be worse than no entry.
 
     ``store`` (duck-typed — see :func:`repro.exec.run_jobs`) replays
     cached case results.  Bench metrics are *wall-clock throughputs*, so
@@ -325,20 +323,9 @@ def run_suite(
     ledger entry.  It is therefore opt-in here exactly like everywhere
     else, and a recorded entry should normally run cold.
     """
-    jobs = _suite_jobs(accesses, cores, seed)
-    ckpt = CheckpointStore(
-        checkpoint, CHECKPOINT_VERSION,
-        batch_key=json.dumps(
-            {"accesses": accesses, "cores": cores, "seed": seed},
-            sort_keys=True,
-        ),
-        fresh=fresh, tmp_prefix=".bench-ckpt-",
-    )
-    completed: Dict[str, List[Dict[str, object]]] = {}
-    data = ckpt.load()
-    if data is not None:
-        for key, metrics in data.get("cases", {}).items():
-            completed[str(key)] = metrics
+    ckpt = CheckpointStore(checkpoint, fresh=fresh, backing=store)
+    ckpt.load()
+    metrics: List[BenchMetric] = []
 
     def merge(job, result, _aux):
         if not result.ok:
@@ -348,19 +335,15 @@ def run_suite(
                 f"bench case {job.key!r} failed: "
                 f"{result.error_type}: {result.error}"
             )
-        completed[job.key] = result.value["metrics"]
-        ckpt.save({"cases": completed})
+        metrics.extend(
+            BenchMetric(**raw) for raw in result.value["metrics"]
+        )
 
     run_jobs(
-        jobs, merge, workers=workers,
-        skip=lambda job: job.key in completed,
-        store=store,
+        _suite_jobs(accesses, cores, seed), merge, workers=workers,
+        store=ckpt,
     )
-    return [
-        BenchMetric(**raw)
-        for job in jobs
-        for raw in completed[job.key]
-    ]
+    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -563,7 +546,6 @@ __all__ = [
     "BenchComparison",
     "BenchDelta",
     "BenchMetric",
-    "CHECKPOINT_VERSION",
     "DEFAULT_TOLERANCE",
     "ENGINE_CASES",
     "SCHEMA_VERSION",

@@ -18,8 +18,9 @@ and statistical:
   (secret=0 vs secret=1 co-runner worlds, both engines), the per-
   strategy :class:`~repro.certify.harness.StrategyVerdict`, and
   :class:`~repro.certify.harness.CertificationRun`, which fans batches
-  over the sweep executor's process pool with checkpoint/resume and
-  exports deterministic JSONL artifacts plus telemetry gauges.
+  over the execution substrate (:mod:`repro.exec`) with checkpointed
+  reruns and exports deterministic JSONL artifacts plus telemetry
+  gauges.
 
 Quickstart::
 
@@ -47,7 +48,6 @@ from .strategies import (
     strategy_seed,
 )
 from .harness import (
-    CHECKPOINT_VERSION,
     Certificate,
     CertificationRun,
     DEFAULT_EPSILON_BITS,
@@ -60,7 +60,6 @@ from .harness import (
 
 __all__ = [
     "AttackerStrategy",
-    "CHECKPOINT_VERSION",
     "Certificate",
     "CertificationRun",
     "DEFAULT_EPSILON_BITS",

@@ -16,10 +16,10 @@ Batches execute on the shared substrate (:mod:`repro.exec`): strategies
 are picklable data, every verdict is a pure function of (scheme spec,
 strategy, config, engine), and the substrate merges results in
 submission order — so a ``workers=4`` certification writes a
-byte-identical artifact to a serial run, and a killed batch resumes
-from its JSON checkpoint.  Security analysis deliberately depends on
-nothing inside :mod:`repro.sim` beyond the runner's public surface (CI
-greps the layering).
+byte-identical artifact to a serial run, and a killed batch rerun on
+its JSON checkpoint replays the strategies that finished.  Security
+analysis deliberately depends on nothing inside :mod:`repro.sim`
+beyond the runner's public surface (CI greps the layering).
 """
 
 from __future__ import annotations
@@ -53,15 +53,13 @@ from .estimators import (
 )
 from .strategies import AttackerStrategy
 
-#: Certification checkpoint schema version.
-CHECKPOINT_VERSION = 1
-
 _LOG = get_logger("certify")
 
 #: Default leakage tolerance, in bits per two-world experiment.
 DEFAULT_EPSILON_BITS = 0.01
 
-#: Fields serialized into checkpoints / the JSONL artifact, in order.
+#: Fields of a verdict's JSON form (the job value and the JSONL
+#: artifact line), in order.
 _VERDICT_FIELDS = (
     "strategy", "family", "seed", "trials", "samples", "exact_match",
     "mi_bits", "mi_upper_bits", "capacity_bits", "passed",
@@ -309,7 +307,7 @@ def _certify_worker(payload: Dict[str, object]) -> Dict[str, object]:
         worker_registry.ensure(spec)
     strategy: AttackerStrategy = payload["strategy"]
     tracer = None
-    if payload.get("spans"):
+    if payload.get(SPANS_KEY):
         from ..telemetry.spans import SpanTracer
 
         tracer = SpanTracer()
@@ -346,9 +344,10 @@ class CertificationRun:
     ``workers=1`` runs in-process, ``workers=N`` fans strategies over
     spawn-started processes with submission-order merging
     (byte-identical artifacts at any worker count), an optional JSON
-    checkpoint makes a killed batch resume without re-simulating
-    finished strategies, and ``budget_s`` bounds the wall clock — past
-    it, remaining strategies are recorded as skipped rather than run.
+    checkpoint — one file for every scheme this instance certifies —
+    lets a killed batch rerun without re-simulating finished
+    strategies, and ``budget_s`` bounds the wall clock — past it,
+    remaining strategies are recorded as skipped rather than run.
     ``fresh=True`` deliberately discards any existing checkpoint (the
     CLI's ``--fresh`` escape hatch for a corrupt file).
     """
@@ -384,17 +383,18 @@ class CertificationRun:
         self.fresh = fresh
         self.budget_s = budget_s
         #: Optional content-addressed result store (duck-typed — see
-        #: :func:`repro.exec.run_jobs`).  Certification verdicts are
-        #: pure functions of (scheme, strategy, config, engine, epsilon,
-        #: trial/bootstrap counts), so a warm store replays them without
-        #: re-simulating; artifacts stay byte-identical to a cold run.
+        #: :func:`repro.exec.run_jobs`), consulted when the checkpoint
+        #: misses.  Certification verdicts are pure functions of
+        #: (scheme, strategy, config, engine, epsilon, trial/bootstrap
+        #: counts), so a warm store replays them without re-simulating;
+        #: artifacts stay byte-identical to a cold run.
         self.store = store
+        #: The batch's finished verdicts; built (and the file read) at
+        #: the first :meth:`run`.
+        self._checkpoint: Optional[CheckpointStore] = None
         #: Wall clock of the last :meth:`run` (volatile; never part of
         #: checkpoints or artifacts).
         self.last_wall_s: Optional[float] = None
-        #: strategy name -> verdict dict, loaded from the checkpoint.
-        self._completed: Dict[str, Dict[str, object]] = {}
-        self._checkpoint_key: Optional[str] = None
         #: Collect hierarchical spans: each strategy's worker tracer is
         #: shipped back and adopted in deterministic submission order
         #: (never written into checkpoints or the JSONL artifact).
@@ -404,45 +404,6 @@ class CertificationRun:
             from ..telemetry.spans import SpanTracer
 
             self.tracer = SpanTracer(track="certify")
-
-    # -- checkpointing --------------------------------------------------
-
-    def _batch_key(self, scheme: str) -> str:
-        """Identity of a batch: anything that changes a verdict."""
-        return json.dumps({
-            "scheme": scheme,
-            "engine": self.engine,
-            "epsilon_bits": round(self.epsilon_bits, 12),
-            "max_cycles": self.max_cycles,
-            "bootstrap_resamples": self.bootstrap_resamples,
-            "config": repr(self.config),
-        }, sort_keys=True)
-
-    def _checkpoint_store(self, scheme: str) -> CheckpointStore:
-        """The substrate store for this batch's checkpoint file.
-
-        Batch-keyed: a checkpoint written for a different experiment
-        (scheme, engine, epsilon, config, ...) is discarded rather than
-        resumed into wrong verdicts.
-        """
-        return CheckpointStore(
-            self.checkpoint, CHECKPOINT_VERSION,
-            batch_key=self._batch_key(scheme), fresh=self.fresh,
-            tmp_prefix=".certify-ckpt-",
-        )
-
-    def _load_checkpoint(self, scheme: str) -> None:
-        self._completed = {}
-        data = self._checkpoint_store(scheme).load()
-        if data is None:
-            return
-        for raw in data.get("verdicts", []):
-            self._completed[str(raw["strategy"])] = raw
-
-    def _save_checkpoint(self, scheme: str) -> None:
-        self._checkpoint_store(scheme).save({
-            "verdicts": list(self._completed.values()),
-        })
 
     # -- execution ------------------------------------------------------
 
@@ -459,7 +420,7 @@ class CertificationRun:
             "epsilon_bits": self.epsilon_bits,
             "max_cycles": self.max_cycles,
             "bootstrap_resamples": self.bootstrap_resamples,
-            "spans": self.collect_spans,
+            SPANS_KEY: self.collect_spans,
         }
 
     def run(
@@ -481,7 +442,12 @@ class CertificationRun:
             raise ConfigError(
                 "strategy names must be unique within a batch"
             )
-        self._load_checkpoint(scheme)
+        if self._checkpoint is None:
+            self._checkpoint = CheckpointStore(
+                self.checkpoint, fresh=self.fresh, backing=self.store
+            )
+            self._checkpoint.load()
+        verdicts: List[StrategyVerdict] = []
         skipped: List[str] = []
         jobs = [
             JobSpec(
@@ -494,42 +460,37 @@ class CertificationRun:
         try:
             run_jobs(
                 jobs,
-                lambda job, result, _aux: self._merge_verdict(
-                    scheme, job, result
+                lambda job, result, _aux: verdicts.append(
+                    self._merge_verdict(scheme, job, result)
                 ),
                 workers=self.workers,
-                skip=lambda job: job.key in self._completed,
                 budget_s=self.budget_s,
                 on_budget_skip=lambda job: skipped.append(job.key),
-                store=self.store,
+                store=self._checkpoint,
             )
         finally:
             self.last_wall_s = time.monotonic() - start
-        verdicts = tuple(
-            _verdict_from_dict(self._completed[s.name])
-            for s in strategies if s.name in self._completed
-        )
         return Certificate(
             scheme=scheme,
             engine=self.engine,
             epsilon_bits=self.epsilon_bits,
             fixed_service=spec.fixed_service,
-            verdicts=verdicts,
+            verdicts=tuple(verdicts),
             skipped=tuple(skipped),
         )
 
     def _merge_verdict(
         self, scheme: str, job: JobSpec, result: JobResult
-    ) -> None:
-        """Fold one strategy outcome into the batch (submission order).
+    ) -> StrategyVerdict:
+        """One strategy outcome as a verdict (submission order).
 
         A failed :class:`~repro.exec.JobResult` here can only be a hard
         worker death (``_certify_worker`` converts its own exceptions to
         failure verdicts — that is domain semantics, not plumbing); it
         is isolated into an error verdict, finished strategies stay
-        checkpointed, and the batch resumes cleanly.  Shipped spans are
-        adopted before the verdict is checkpointed: span capture never
-        changes checkpoint or artifact bytes.
+        checkpointed, and a rerun executes the dead one again.  Shipped
+        spans are adopted into the batch tracer only: span capture
+        never changes checkpoint or artifact bytes.
         """
         strategy: AttackerStrategy = job.payload["strategy"]
         if result.ok:
@@ -543,12 +504,11 @@ class CertificationRun:
                 self.tracer, f"strategy {strategy.name}", "batch",
                 result.spans,
             )
-        self._completed[strategy.name] = raw
-        self._save_checkpoint(scheme)
         _LOG.info("strategy done", extra={
             "scheme": scheme, "strategy": strategy.name,
             "passed": raw.get("passed"),
         })
+        return _verdict_from_dict(raw)
 
     # -- export ---------------------------------------------------------
 
@@ -683,7 +643,6 @@ def certify_scheme(
 
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "Certificate",
     "CertificationRun",
     "DEFAULT_EPSILON_BITS",

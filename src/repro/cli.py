@@ -890,8 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", nargs="+", default=["mcf"],
                    help="workload/mix names, one grid column each")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="JSON checkpoint; a killed sweep resumes from "
-                        "the last completed cell")
+                   help="JSON checkpoint; a rerun on it replays the "
+                        "cells that finished with the same inputs")
     p.add_argument("--max-cycles", type=int, default=8_000_000,
                    help="per-cell cycle budget")
     p.add_argument("--fresh", action="store_true",
@@ -965,8 +965,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="JSON checkpoint; a killed batch resumes without "
-             "re-running finished strategies (single-scheme runs)",
+        help="JSON checkpoint (one for every scheme); a rerun on it "
+             "replays the strategies that finished with the same "
+             "inputs",
     )
     p.add_argument(
         "--fresh", action="store_true",
@@ -1037,8 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="JSON checkpoint; a killed suite resumes without "
-             "re-running finished cases",
+        help="JSON checkpoint; a rerun on it replays the cases "
+             "that finished with the same inputs",
     )
     b.add_argument(
         "--fresh", action="store_true",

@@ -1,6 +1,10 @@
-"""Canonical content hashing for the result store.
+"""Canonical content hashing: the identity of a finished job.
 
-A cache key must be a *semantic* fingerprint of a job: two
+Every reuse of a job result — a checkpoint replaying a killed batch
+(:class:`~repro.exec.CheckpointStore`) or the cross-session result
+store (:mod:`repro.store`) — asks the same question: was this result
+computed by the same worker on the same payload?  The answer is one
+key.  A key must be a *semantic* fingerprint of a job: two
 :class:`~repro.exec.JobSpec`\\ s that describe the same computation must
 hash identically across processes and sessions, and any input change —
 scheme spec field, system config, seed, engine, worker function — must
@@ -23,8 +27,13 @@ The key is then the SHA-256 of the structure's ``repr`` — deterministic
 across processes because ``repr`` of those leaf types is value-based,
 round-trippable, and independent of object identity.  Anything without a
 canonical form (an open telemetry session, a live tracer, an arbitrary
-class instance) raises :class:`UncacheableValue`; the store translates
+class instance) raises :class:`UncacheableValue`; the stores translate
 that into a *bypass* — the job simply runs uncached.
+
+The payload's :data:`~repro.exec.jobs.SPANS_KEY` entry (the request to
+collect spans) is left out of the key: span collection is how a job is
+observed, not what it computes, so a traced job may reuse an untraced
+result (it then adopts no spans for that job).
 
 ``STORE_SCHEMA_VERSION`` is folded into every hash as a salt, so bumping
 it orphans (rather than misreads) every existing entry when the wire
@@ -37,6 +46,8 @@ import dataclasses
 import enum
 import hashlib
 from typing import Callable, Tuple, Union
+
+from .jobs import SPANS_KEY
 
 #: Salt folded into every content hash.  Bump when the job wire format
 #: (or the canonicalisation scheme itself) changes incompatibly; old
@@ -54,9 +65,10 @@ class UncacheableValue(TypeError):
 
     Raised by :func:`canonicalize` for live objects — telemetry sessions,
     open files, arbitrary class instances — whose state cannot be
-    fingerprinted by value.  The store catches this and treats the job as
+    fingerprinted by value.  The stores catch this and treat the job as
     a *bypass* (run uncached); it never propagates to callers of
-    :class:`~repro.store.ResultStore`.
+    :class:`~repro.store.ResultStore` or
+    :class:`~repro.exec.CheckpointStore`.
     """
 
 
@@ -112,13 +124,16 @@ def canonicalize(value: object) -> Canonical:
 
 
 def content_key(fn: Callable, payload: object) -> str:
-    """The SHA-256 content hash keying one job in the store.
+    """The SHA-256 content hash keying one job.
 
     Hashes ``(salt, schema version, worker identity, canonical payload)``
     so every semantic input — including the worker function and the store
-    schema version — is covered.  Raises :class:`UncacheableValue` when
-    the payload cannot be canonicalised.
+    schema version — is covered; a dict payload's :data:`SPANS_KEY`
+    entry is not.  Raises :class:`UncacheableValue` when the payload
+    cannot be canonicalised.
     """
+    if isinstance(payload, dict) and SPANS_KEY in payload:
+        payload = {k: v for k, v in payload.items() if k != SPANS_KEY}
     structure = (
         "repro-store",
         STORE_SCHEMA_VERSION,

@@ -10,7 +10,7 @@ contract — the property every consumer's byte-identity test pins — is:
 * **per-job failure isolation** — a job that raises, or whose worker
   dies hard and breaks the pool, is merged as a failed
   :class:`~repro.exec.jobs.JobResult` at its own position; completed
-  jobs keep checkpointing, so a crashed batch resumes cleanly;
+  jobs keep being recorded, so a crashed batch resumes cleanly;
 * **identical code path** — ``workers=1`` runs the very same
   :func:`~repro.exec.jobs.run_job` shim inline that a worker process
   runs, so serial and parallel execution cannot drift apart;
@@ -22,13 +22,16 @@ contract — the property every consumer's byte-identity test pins — is:
   runs at most once.
 * **transparent result reuse** — an optional ``store`` (duck-typed:
   ``lookup(spec) -> Optional[raw]``, ``record(spec, raw) -> bool``,
-  e.g. :class:`repro.store.ResultStore`) is consulted before a job
-  executes and written back after it succeeds.  A hit substitutes the
-  cached raw wire dict at exactly the point the computed one would have
-  appeared, so merge order, aux semantics, and every artifact stay
-  byte-identical between cold, warm, serial, and parallel runs.  The
-  substrate never imports the store package — only this two-method
-  protocol — keeping the layering DAG acyclic.
+  e.g. a :class:`~repro.exec.CheckpointStore` or a
+  :class:`repro.store.ResultStore`) is consulted before a job executes
+  and handed every fresh outcome.  A hit substitutes the recorded raw
+  wire dict at exactly the point the computed one would have appeared,
+  so merge order, aux semantics, and every artifact stay byte-identical
+  between cold, warm, resumed, serial, and parallel runs.  This is the
+  only way a finished result is reused: resuming a killed batch is a
+  rerun whose finished jobs hit its checkpoint.  The substrate never
+  imports the store package — only this two-method protocol — keeping
+  the layering DAG acyclic.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def _settled(spec: JobSpec, future, store) -> JobResult:
     except BaseException as exc:
         # BrokenProcessPool and friends: the worker died hard
         # (os._exit, segfault, OOM-kill).  Every not-yet-merged job
-        # inherits the failure; completed jobs stay checkpointed, so
-        # the batch resumes cleanly.
+        # inherits the failure; completed jobs stay recorded, so the
+        # batch resumes cleanly.
         return failure_result(
             spec.key, type(exc).__name__,
             str(exc) or "worker process died",
@@ -126,7 +129,6 @@ def run_jobs(
     merge: MergeFn,
     aux: Optional[Mapping[Any, JobSpec]] = None,
     workers: int = 1,
-    skip: Optional[Callable[[JobSpec], bool]] = None,
     budget_s: Optional[float] = None,
     on_budget_skip: Optional[Callable[[JobSpec], None]] = None,
     store=None,
@@ -134,34 +136,30 @@ def run_jobs(
     """Run ``jobs`` and merge every outcome in submission order.
 
     ``merge(spec, result, resolve_aux)`` is invoked exactly once per
-    non-skipped job, in the order of ``jobs``; ``resolve_aux`` resolves
-    a key from ``spec.requires`` against the ``aux`` table (memoized —
-    each auxiliary executes at most once per call).  ``skip`` filters
-    already-completed jobs (checkpoint resume) before any execution;
-    past ``budget_s`` wall-clock seconds, remaining jobs go to
+    job run within the budget, in the order of ``jobs``;
+    ``resolve_aux`` resolves a key from ``spec.requires`` against the
+    ``aux`` table (memoized — each auxiliary executes at most once per
+    call).  Past ``budget_s`` wall-clock seconds, remaining jobs go to
     ``on_budget_skip`` instead of running.  ``workers=1`` executes
     everything in-process; ``workers>1`` fans out over
     :func:`~repro.exec.pool.worker_pool`.
 
     ``store`` (optional, duck-typed — see the module docstring) is
-    consulted per job before execution and written back on success; a
-    hit short-circuits execution but changes nothing about merge order
-    or the results any consumer observes.
+    consulted per job before execution and handed each fresh outcome;
+    a hit short-circuits execution but changes nothing about merge
+    order or the results any consumer observes.
     """
     validate_workers(workers)
     aux = aux or {}
     if workers <= 1:
-        _run_serial(
-            jobs, merge, aux, skip, budget_s, on_budget_skip, store
-        )
+        _run_serial(jobs, merge, aux, budget_s, on_budget_skip, store)
     else:
         _run_parallel(
-            jobs, merge, aux, workers, skip, budget_s, on_budget_skip,
-            store,
+            jobs, merge, aux, workers, budget_s, on_budget_skip, store
         )
 
 
-def _run_serial(jobs, merge, aux, skip, budget_s, on_budget_skip, store):
+def _run_serial(jobs, merge, aux, budget_s, on_budget_skip, store):
     start = time.monotonic()
     cache: Dict[Any, JobResult] = {}
 
@@ -181,8 +179,6 @@ def _run_serial(jobs, merge, aux, skip, budget_s, on_budget_skip, store):
         return got
 
     for spec in jobs:
-        if skip is not None and skip(spec):
-            continue
         if _out_of_budget(start, budget_s):
             if on_budget_skip is not None:
                 on_budget_skip(spec)
@@ -195,7 +191,7 @@ def _run_serial(jobs, merge, aux, skip, budget_s, on_budget_skip, store):
 
 
 def _run_parallel(
-    jobs, merge, aux, workers, skip, budget_s, on_budget_skip, store
+    jobs, merge, aux, workers, budget_s, on_budget_skip, store
 ):
     start = time.monotonic()
     #: (spec, handle) in submission order; ``handle`` is a future, a
@@ -209,8 +205,6 @@ def _run_parallel(
     try:
         # -- submission (deterministic order) ---------------------------
         for spec in jobs:
-            if skip is not None and skip(spec):
-                continue
             if _out_of_budget(start, budget_s):
                 if on_budget_skip is not None:
                     on_budget_skip(spec)

@@ -1,9 +1,10 @@
 """Parameter-sweep utilities for sensitivity studies.
 
 Thin orchestration over :mod:`repro.sim.runner`: run a grid of
-(scheme x workload x knob) simulations and collect the metric the paper
-plots.  Used by the Figure 5 / Figure 10 benchmarks and handy for ad-hoc
-exploration.
+(scheme x workload x knob) simulations against a baseline scheme and
+collect the metrics the paper plots — the ``repro sweep`` verb and
+ad-hoc exploration (the Figure 5 / Figure 10 benchmarks cache their
+own runs through ``benchmarks/common.run_cached``).
 
 Sweeps are *resilient* by design (production grids run for hours):
 
@@ -12,16 +13,18 @@ Sweeps are *resilient* by design (production grids run for hours):
 * each cell runs under a cycle budget (``max_cycles``) and an optional
   wall-clock budget (``point_wall_budget_s``) that raises
   :class:`~repro.errors.SimTimeoutError` instead of hanging the grid;
-* with a ``checkpoint`` path, every completed (or failed) cell is
-  persisted to JSON atomically, and a killed sweep resumes from the last
-  completed cell — re-running the same grid reproduces the exact same
-  :class:`SweepPoint` table without re-simulating finished cells.
+* with a ``checkpoint`` path, every finished cell result (and baseline
+  run) is kept in an atomic JSON file keyed by what the cell computes,
+  and a killed sweep rerun on the same file replays the finished cells
+  instead of re-simulating them — reproducing the exact same
+  :class:`SweepPoint` table.  A failed cell is not kept: it runs again.
 
-Execution itself — fan-out, checkpoint persistence, submission-order
-merging — is the substrate's job, not this module's: :meth:`Sweep.run_grid`
-describes each cell as a :class:`~repro.exec.JobSpec` (the picklable
+Execution itself — fan-out, result reuse, submission-order merging — is
+the substrate's job, not this module's: :meth:`Sweep.run_grid` and
+:meth:`Sweep.run_point` describe each cell as a
+:class:`~repro.exec.JobSpec` (the picklable
 :class:`~repro.schemes.SchemeSpec` rides in the payload, so
-user-registered schemes parallelize like built-ins) and hands the batch
+user-registered schemes parallelize like built-ins) and hand the batch
 to :func:`repro.exec.run_jobs`.  The substrate's contract carries the
 sweep's guarantees:
 
@@ -32,15 +35,16 @@ sweep's guarantees:
   metrics to a serial run;
 * **fault isolation** — a worker exception (or a hard worker crash
   breaking the pool) is recorded per cell in :attr:`failed_points`;
-  completed cells keep checkpointing incrementally, so a crashed grid
-  resumes exactly like a killed serial one;
+  completed cells stay in the checkpoint, so a crashed grid resumes
+  exactly like a killed serial one;
 * **telemetry** — with ``collect_telemetry=True`` every cell runs under
   its own :class:`~repro.telemetry.session.TelemetrySession`; the
   per-worker registries are merged deterministically (submission order)
   into the grid artifact via
   :meth:`~repro.telemetry.registry.MetricsRegistry.merge`, and with
   ``collect_spans=True`` each cell's span records ride the substrate's
-  reserved side channel and are adopted in the same order.
+  reserved side channel and are adopted in the same order.  A cell
+  replayed from a checkpoint or store brings no registry and no spans.
 """
 
 from __future__ import annotations
@@ -65,10 +69,6 @@ from ..telemetry.log import get_logger
 from ..workloads.spec import suite_specs
 from .config import SystemConfig
 from .runner import SchemeOptions, run_scheme
-from .system import RunResult
-
-#: Checkpoint schema version (bump on incompatible change).
-CHECKPOINT_VERSION = 1
 
 _LOG = get_logger("sweep")
 
@@ -85,10 +85,9 @@ class SweepPoint:
     bus_utilization: float
     mean_read_latency: float
     energy_pj: float
-    #: Simulated cycles (0 on checkpoints predating the field).
+    #: Simulated cycles.
     cycles: int = 0
     #: Fault strikes by kind name, when the cell armed an injector.
-    #: Defaults keep version-1 checkpoints loadable.
     faults: Optional[Dict[str, int]] = None
 
 
@@ -178,7 +177,7 @@ def _sweep_worker(payload: Dict[str, object]) -> Dict[str, object]:
         worker_registry.ensure(spec)
     session, tracer, options = _cell_observers(
         payload.get("options"), payload.get("telemetry"),
-        payload.get("spans"),
+        payload.get(SPANS_KEY),
     )
     result = run_scheme(
         payload["scheme"], payload["config"],
@@ -243,11 +242,10 @@ class Sweep:
         self.workers = workers
         #: Optional content-addressed result store (duck-typed — see
         #: :func:`repro.exec.run_jobs`; normally a
-        #: :class:`repro.store.ResultStore`).  A warm store replays the
-        #: cold run's raw cell results, so checkpoints, artifacts, and
-        #: metrics snapshots stay byte-identical while zero simulations
-        #: execute.  ``run_point`` runs in-process and is deliberately
-        #: not cached.
+        #: :class:`repro.store.ResultStore`), consulted when the
+        #: checkpoint misses.  A warm store replays the cold run's raw
+        #: cell results, so checkpoints, artifacts, and metrics
+        #: snapshots stay byte-identical while zero simulations execute.
         self.store = store
         #: Collect a per-cell telemetry registry and merge them (in
         #: deterministic submission order) into :attr:`cell_registry`.
@@ -273,47 +271,21 @@ class Sweep:
         #: (exported as a *volatile* gauge: never part of determinism
         #: snapshots or checkpoints).
         self.last_grid_wall_s: Optional[float] = None
-        #: Baselines keyed *defensively*: the key includes the full
-        #: (frozen, hashable) config, so mutating ``self.config`` between
-        #: points can never alias a stale baseline onto a new grid.
-        self._baselines: Dict[Tuple, RunResult] = {}
-        #: Grid-mode baseline cache: one (possibly failed)
-        #: :class:`~repro.exec.JobResult` per baseline identity.
+        #: One (possibly failed) :class:`~repro.exec.JobResult` per
+        #: baseline identity.  The key includes the full (frozen,
+        #: hashable) config, so mutating ``self.config`` between cells
+        #: can never alias a stale baseline onto a new grid.
         self._baseline_outcomes: Dict[Tuple, JobResult] = {}
         self.points: List[SweepPoint] = []
         self.failed_points: List[FailedPoint] = []
+        #: The table's index: a cell already in :attr:`points` is
+        #: never submitted again.
         self._completed: Dict[Tuple[str, str, int, str], SweepPoint] = {}
-        self._store = CheckpointStore(
-            checkpoint, CHECKPOINT_VERSION, fresh=fresh,
-            tmp_prefix=".sweep-ckpt-",
+        #: Finished cell and baseline results, replayed by a rerun.
+        self._checkpoint = CheckpointStore(
+            checkpoint, fresh=fresh, backing=store
         )
-        if checkpoint is not None:
-            self._load_checkpoint()
-
-    # ------------------------------------------------------------------
-    # Checkpointing.
-    # ------------------------------------------------------------------
-
-    def _load_checkpoint(self) -> None:
-        data = self._store.load()
-        if data is None:
-            return
-        for raw in data.get("points", []):
-            point = SweepPoint(**raw)
-            self.points.append(point)
-            self._completed[_point_key(
-                point.scheme, point.workload, point.cores, point.label
-            )] = point
-        for raw in data.get("failed", []):
-            self.failed_points.append(FailedPoint(**raw))
-
-    def _save_checkpoint(self) -> None:
-        self._store.save({
-            "baseline_scheme": self.baseline_scheme,
-            "max_cycles": self.max_cycles,
-            "points": [dataclasses.asdict(p) for p in self.points],
-            "failed": [dataclasses.asdict(p) for p in self.failed_points],
-        })
+        self._checkpoint.load()
 
     # ------------------------------------------------------------------
 
@@ -322,18 +294,6 @@ class Sweep:
             self.config if cores == self.config.num_cores
             else self.config.with_cores(cores)
         )
-
-    def _baseline(self, workload: str, cores: int) -> RunResult:
-        key = (self.baseline_scheme, workload, cores, self.config)
-        if key not in self._baselines:
-            self._baselines[key] = run_scheme(
-                self.baseline_scheme, self._config_for(cores),
-                suite_specs(workload, cores),
-                max_cycles=self.max_cycles,
-                wall_budget_s=self.point_wall_budget_s,
-                engine=self.engine,
-            )
-        return self._baselines[key]
 
     def run_point(
         self,
@@ -345,82 +305,27 @@ class Sweep:
     ) -> Optional[SweepPoint]:
         """Run one cell in-process and record it.
 
-        Returns the completed :class:`SweepPoint`, a checkpointed one
-        when this cell already finished in a previous (interrupted) run,
-        or ``None`` when the cell failed and was isolated into
-        :attr:`failed_points` (unless :attr:`strict`, which re-raises).
+        Returns the completed :class:`SweepPoint` (the one already in
+        the table when this cell ran before), or ``None`` when the cell
+        failed and was isolated into :attr:`failed_points` (unless
+        :attr:`strict`, which re-raises).
         """
-        cores = cores or self.config.num_cores
-        label = label or scheme
-        key = _point_key(scheme, workload, cores, label)
-        done = self._completed.get(key)
-        if done is not None:
-            return done
-        session, cell_tracer, run_options = _cell_observers(
-            options, self.collect_telemetry, self.collect_spans
+        key = _point_key(
+            scheme, workload, cores or self.config.num_cores,
+            label or scheme,
         )
-        try:
-            result = run_scheme(
-                scheme, self._config_for(cores),
-                suite_specs(workload, cores),
-                run_options, max_cycles=self.max_cycles,
-                wall_budget_s=self.point_wall_budget_s,
-                engine=self.engine,
-            )
-            baseline = self._baseline(workload, cores)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            if self.strict:
-                raise
-            _LOG.warning("cell failed", extra={
-                "scheme": scheme, "workload": workload, "cores": cores,
-                "error_type": type(exc).__name__, "error": str(exc),
-            })
-            self.failed_points.append(FailedPoint(
-                scheme=scheme, workload=workload, cores=cores,
-                label=label, error_type=type(exc).__name__,
-                error=str(exc),
-            ))
-            self._save_checkpoint()
-            return None
-        point = SweepPoint(
-            scheme=scheme,
-            workload=workload,
-            cores=cores,
-            label=label,
-            weighted_ipc=result.weighted_ipc(baseline),
-            bus_utilization=result.bus_utilization,
-            mean_read_latency=result.stats.mean_read_latency,
-            energy_pj=result.energy.total_pj,
-            cycles=result.cycles,
-            faults=result.faults,
-        )
-        self.points.append(point)
-        self._completed[key] = point
-        if session is not None and self.cell_registry is not None:
-            self.cell_registry.merge(session.registry)
-        if cell_tracer is not None:
-            self._adopt_cell_spans(
-                workload, cores, label, cell_tracer.records
-            )
-        self._save_checkpoint()
-        _LOG.info("cell done", extra={
-            "scheme": scheme, "workload": workload, "cores": cores,
-            "weighted_ipc": round(point.weighted_ipc, 6),
-            "cycles": point.cycles,
-        })
-        return point
+        jobs, aux = self._cell_jobs([key], options)
+        run_jobs(jobs, self._merge_cell, aux=aux, store=self._checkpoint)
+        return self._completed.get(key)
 
     def _adopt_cell_spans(
         self, workload: str, cores: int, label: str, records
     ) -> None:
         """Fold one cell's spans into the grid tracer.
 
-        Called once per completed cell — in cell execution order
-        serially and in submission order by the parallel merge loop,
-        which are the *same* order, so the grid tracer's record
-        sequence (and logical clock) is identical at any worker count.
+        Called once per merged cell, in submission order, so the grid
+        tracer's record sequence (and logical clock) is identical at
+        any worker count.
         """
         adopt_spans(
             self.tracer, f"{label} x {workload} x {cores}", "cell",
@@ -465,13 +370,14 @@ class Sweep:
                         "merge per-worker spans instead"
                     )
             n = cores or self.config.num_cores
-            jobs, aux = self._grid_jobs(
-                list(schemes), list(workloads), n, options
+            jobs, aux = self._cell_jobs(
+                [_point_key(scheme, workload, n, scheme)
+                 for scheme in schemes for workload in workloads],
+                options,
             )
             run_jobs(
                 jobs, self._merge_cell, aux=aux, workers=self.workers,
-                skip=lambda job: job.key in self._completed,
-                store=self.store,
+                store=self._checkpoint,
             )
         finally:
             self.last_grid_wall_s = time.monotonic() - start
@@ -498,58 +404,57 @@ class Sweep:
             "wall_budget_s": self.point_wall_budget_s,
             "engine": self.engine,
             "telemetry": telemetry,
-            "spans": spans,
+            SPANS_KEY: spans,
         }
 
-    def _grid_jobs(
+    def _cell_jobs(
         self,
-        schemes: List[str],
-        workloads: List[str],
-        cores: int,
+        keys: Sequence[Tuple[str, str, int, str]],
         options: Optional[SchemeOptions],
     ) -> Tuple[List[JobSpec], Dict[Tuple, JobSpec]]:
-        """Describe the grid as substrate jobs plus baseline auxiliaries.
+        """Describe the cells not yet in the table as substrate jobs
+        plus baseline auxiliaries.
 
         Scheme names resolve against the *parent's* registry here — a
         worker registry may lack parent-only specs, so resolving (and
         failing) parent-side is what keeps the unknown-scheme error
-        text, and therefore the checkpoint bytes, identical at any
-        worker count.
+        text, and therefore the failure table, identical at any worker
+        count.
         """
         base_spec = REGISTRY.find(self.baseline_scheme)
         jobs: List[JobSpec] = []
         aux: Dict[Tuple, JobSpec] = {}
-        for scheme in schemes:
-            for workload in workloads:
-                key = _point_key(scheme, workload, cores, scheme)
-                try:
-                    spec = REGISTRY.get(scheme)
-                except SchemeError as exc:
-                    jobs.append(JobSpec(key=key, failure=exc))
-                    continue
-                bkey = (self.baseline_scheme, workload, cores,
-                        self.config)
-                requires: Tuple = ()
-                if bkey not in self._baseline_outcomes:
-                    if bkey not in aux:
-                        aux[bkey] = JobSpec(
-                            key=bkey, fn=_sweep_worker,
-                            payload=self._payload(
-                                base_spec, self.baseline_scheme,
-                                workload, cores, options=None,
-                                telemetry=False,
-                            ),
-                        )
-                    requires = (bkey,)
-                jobs.append(JobSpec(
-                    key=key, fn=_sweep_worker,
-                    payload=self._payload(
-                        spec, scheme, workload, cores, options=options,
-                        telemetry=self.collect_telemetry,
-                        spans=self.collect_spans,
-                    ),
-                    requires=requires,
-                ))
+        for key in keys:
+            if key in self._completed:
+                continue
+            scheme, workload, cores, _label = key
+            try:
+                spec = REGISTRY.get(scheme)
+            except SchemeError as exc:
+                jobs.append(JobSpec(key=key, failure=exc))
+                continue
+            bkey = (self.baseline_scheme, workload, cores, self.config)
+            requires: Tuple = ()
+            if bkey not in self._baseline_outcomes:
+                if bkey not in aux:
+                    aux[bkey] = JobSpec(
+                        key=bkey, fn=_sweep_worker,
+                        payload=self._payload(
+                            base_spec, self.baseline_scheme,
+                            workload, cores, options=None,
+                            telemetry=False,
+                        ),
+                    )
+                requires = (bkey,)
+            jobs.append(JobSpec(
+                key=key, fn=_sweep_worker,
+                payload=self._payload(
+                    spec, scheme, workload, cores, options=options,
+                    telemetry=self.collect_telemetry,
+                    spans=self.collect_spans,
+                ),
+                requires=requires,
+            ))
         return jobs, aux
 
     def _merge_cell(self, job: JobSpec, result: JobResult,
@@ -590,7 +495,6 @@ class Sweep:
             self.cell_registry.merge(registry)
         if result.spans is not None and self.tracer is not None:
             self._adopt_cell_spans(workload, cores, label, result.spans)
-        self._save_checkpoint()
         _LOG.info("cell done", extra={
             "scheme": scheme, "workload": workload, "cores": cores,
             "weighted_ipc": round(point.weighted_ipc, 6),
@@ -618,7 +522,6 @@ class Sweep:
             error_type=str(result.error_type),
             error=str(result.error),
         ))
-        self._save_checkpoint()
 
     # ------------------------------------------------------------------
 

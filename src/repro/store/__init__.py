@@ -5,8 +5,10 @@ every sweep cell, certification trial, and bench job is a pure function
 of its payload — computed once, correct forever.  This package caches
 those results on disk across sessions:
 
-* :mod:`repro.store.keys` — canonical SHA-256 keying of job specs
-  (dataclass fields, configs, seeds, engine, schema-version salt);
+* :mod:`repro.exec.keys` — canonical SHA-256 keying of job specs
+  (dataclass fields, configs, seeds, engine, schema-version salt),
+  shared with the per-batch :class:`~repro.exec.CheckpointStore` and
+  re-exported here;
 * :mod:`repro.store.store` — :class:`ResultStore` (the duck-typed
   ``store=`` hook consumed by :func:`repro.exec.run_jobs`), atomic entry
   I/O, and the ``ls``/``gc``/``verify`` maintenance surface behind
@@ -19,7 +21,7 @@ substrate keeps zero knowledge of persistence, and the layering DAG in
 rationale and determinism contract.
 """
 
-from .keys import (
+from ..exec.keys import (
     STORE_SCHEMA_VERSION,
     UncacheableValue,
     canonicalize,

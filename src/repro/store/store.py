@@ -5,7 +5,7 @@ a pure function of its payload (the paper's fixed-service schedules are
 *deterministic* by construction — that is the whole point), so a result
 computed once is correct forever.  :class:`ResultStore` keeps the raw
 wire dict a worker returned, keyed by the canonical SHA-256 of the job's
-worker identity and payload (:mod:`repro.store.keys`), in a directory
+worker identity and payload (:mod:`repro.exec.keys`), in a directory
 tree shared across sessions::
 
     <root>/objects/<hh>/<sha256>.pkl
@@ -51,7 +51,7 @@ from ..errors import StoreError
 from ..telemetry.log import get_logger
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.spans import SpanTracer
-from .keys import UncacheableValue, content_key, fn_identity
+from ..exec.keys import UncacheableValue, content_key, fn_identity
 
 _LOG = get_logger("store")
 

@@ -325,47 +325,87 @@ class TestArtifacts:
         trailer = lines[-1]["certificate"]
         assert trailer["scheme"] == "fs_rp" and trailer["certified"]
 
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        """The strategies whose experiments actually run.  Counting
+        ``certify_strategy`` leaves the job worker (part of every
+        result's identity) untouched."""
+        names = []
+        real = harness_mod.certify_strategy
+
+        def counting(scheme, strategy, *args, **kwargs):
+            names.append((scheme, strategy.name))
+            return real(scheme, strategy, *args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "certify_strategy", counting)
+        return names
+
     def test_checkpoint_resume_skips_finished_strategies(
-        self, tmp_path, monkeypatch
+        self, tmp_path, executed
     ):
         checkpoint = tmp_path / "certify.ckpt.json"
         run = CertificationRun(config=CFG, checkpoint=str(checkpoint))
-        first = run.run("fs_rp", BATCH[:2])
+        first = run.run("fs_rp", BATCH[:1])
         assert checkpoint.exists()
+        assert len(executed) == 1
 
-        def boom(payload):
-            raise AssertionError(
-                "resume must not re-run finished strategies"
-            )
-
-        monkeypatch.setattr(harness_mod, "_certify_worker", boom)
         resumed = CertificationRun(
             config=CFG, checkpoint=str(checkpoint)
         )
         second = resumed.run("fs_rp", BATCH[:2])
-        assert [v.to_json_dict() for v in second.verdicts] == \
-            [v.to_json_dict() for v in first.verdicts]
+        # Only the strategy the first run never reached executes.
+        assert executed[1:] == [("fs_rp", BATCH[1].name)]
+        assert second.verdicts[:1] == first.verdicts
 
-    def test_checkpoint_invalidated_by_different_batch_key(
-        self, tmp_path
-    ):
+    def test_changed_epsilon_is_not_replayed(self, tmp_path, executed):
         checkpoint = tmp_path / "certify.ckpt.json"
-        run = CertificationRun(config=CFG, checkpoint=str(checkpoint))
-        run.run("fs_rp", BATCH[:1])
+        CertificationRun(config=CFG, checkpoint=str(checkpoint)).run(
+            "fs_rp", BATCH[:1]
+        )
         other = CertificationRun(
             config=CFG, epsilon_bits=0.5, checkpoint=str(checkpoint)
         )
-        other._load_checkpoint("fs_rp")
-        assert other._completed == {}  # epsilon changed: fresh batch
+        other.run("fs_rp", BATCH[:1])
+        assert len(executed) == 2  # epsilon changed: ran again
 
-    def test_checkpoint_version_mismatch_starts_fresh(self, tmp_path):
+    def test_changed_trials_are_not_replayed(self, tmp_path, executed):
+        checkpoint = str(tmp_path / "certify.ckpt.json")
+        one = dataclasses.replace(BATCH[0], trials=1)
+        CertificationRun(config=CFG, checkpoint=checkpoint).run(
+            "baseline", [one]
+        )
+        cold = CertificationRun(config=CFG).run("baseline", BATCH[:1])
+        warm = CertificationRun(config=CFG, checkpoint=checkpoint).run(
+            "baseline", BATCH[:1]
+        )
+        assert [v.trials for v in warm.verdicts] == [2]
+        assert warm.verdicts == cold.verdicts
+        assert len(executed) == 3
+
+    def test_one_checkpoint_resumes_every_scheme(
+        self, tmp_path, executed
+    ):
+        checkpoint = str(tmp_path / "certify.ckpt.json")
+        schemes = ("fs_rp", "fs_bp")
+        first = CertificationRun(config=CFG, checkpoint=checkpoint)
+        certs = [first.run(scheme, BATCH[:2]) for scheme in schemes]
+        assert len(executed) == 4
+        again = CertificationRun(config=CFG, checkpoint=checkpoint)
+        replayed = [again.run(scheme, BATCH[:2]) for scheme in schemes]
+        assert len(executed) == 4  # the rerun executed nothing
+        assert replayed == certs
+
+    def test_checkpoint_version_mismatch_starts_fresh(
+        self, tmp_path, executed
+    ):
         checkpoint = tmp_path / "certify.ckpt.json"
         checkpoint.write_text(json.dumps({
             "version": 999, "batch_key": "x", "verdicts": [],
         }))
         run = CertificationRun(config=CFG, checkpoint=str(checkpoint))
-        run._load_checkpoint("fs_rp")
-        assert run._completed == {}
+        run.run("fs_rp", BATCH[:1])
+        assert len(executed) == 1
+        assert json.loads(checkpoint.read_text())["version"] == 2
 
     def test_metrics_registry_export(self):
         run = CertificationRun(config=CFG)

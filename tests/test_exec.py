@@ -3,8 +3,8 @@
 Four groups of properties:
 
 * **unit contracts** — worker-count validation, the checkpoint store's
-  atomic/versioned/keyed/corrupt-vs-incompatible rules, and the job
-  shim's uniform failure capture;
+  atomic/versioned/content-keyed/corrupt-vs-incompatible rules, and the
+  job shim's uniform failure capture;
 * **runner determinism** — submission-order merging (serial vs
   parallel byte-identity), per-job failure isolation including hard
   worker death, pre-resolved failures, lazy-serial/eager-parallel
@@ -13,9 +13,11 @@ Four groups of properties:
   prefix of the merges) resumes to byte-identical final checkpoints and
   artifacts, parameterized over all three consumers (sweep, certify,
   bench) and both engines.  The merged span *trace* of a resumed run is
-  deliberately not byte-compared: skipped (already-checkpointed) cells
-  produce no spans, so only uninterrupted runs' traces are comparable —
+  deliberately not byte-compared: replayed (already-checkpointed) cells
+  bring no spans, so only uninterrupted runs' traces are comparable —
   that property is pinned by the per-consumer parallel tests instead;
+* **changed inputs** — a rerun on the same checkpoint with another
+  config, seed, engine or cycle budget runs its jobs again;
 * **layering** — AST-level import lint: ``repro.exec`` imports nothing
   from ``repro.sim`` / ``repro.certify`` / ``repro.bench``, and
   ``repro.certify`` no longer reaches into ``repro.sim.sweep``
@@ -98,53 +100,153 @@ class TestValidateWorkers:
             validate_workers(workers)
 
 
+def _ran(spec):
+    """The raw wire dict ``run_jobs`` would hand the store for ``spec``."""
+    return run_job(spec, _local=True)
+
+
+class _DictStore:
+    """A minimal backing store: the ``lookup``/``record`` hook over a
+    dict, counting lookups."""
+
+    def __init__(self):
+        self.raw = {}
+        self.lookups = 0
+
+    def lookup(self, spec):
+        self.lookups += 1
+        return self.raw.get(spec.key)
+
+    def record(self, spec, raw):
+        self.raw[spec.key] = raw
+        return True
+
+
 class TestCheckpointStore:
     def test_roundtrip_with_envelope(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        store = CheckpointStore(path, 3)
-        store.save({"rows": [1, 2]})
-        assert store.load() == {"version": 3, "rows": [1, 2]}
+        spec = JobSpec(key="j", fn=_double, payload={"x": 3})
+        store = CheckpointStore(path)
+        store.load()
+        assert store.record(spec, _ran(spec))
         with open(path) as handle:
             raw = json.load(handle)
-        assert list(raw)[0] == "version"  # envelope key first
+        assert list(raw) == ["results", "version"]  # sorted keys
+        assert raw["version"] == 2
+        (entry,) = raw["results"].values()
+        assert entry == {"job": "j", "value": {"doubled": 6}}
+        again = CheckpointStore(path)
+        again.load()
+        assert again.lookup(spec) == {"ok": True, "value": {"doubled": 6}}
+
+    def test_changed_payload_misses(self, tmp_path):
+        store = CheckpointStore(str(tmp_path / "ck.json"))
+        store.load()
+        spec = JobSpec(key="j", fn=_double, payload={"x": 3})
+        store.record(spec, _ran(spec))
+        # Another job key with the same worker and payload is the same
+        # computation; another payload or worker is not.
+        twin = JobSpec(key="other", fn=_double, payload={"x": 3})
+        assert store.lookup(twin) == {"ok": True, "value": {"doubled": 6}}
+        assert store.lookup(
+            JobSpec(key="j", fn=_double, payload={"x": 4})
+        ) is None
+        assert store.lookup(
+            JobSpec(key="j", fn=_counting_aux, payload={"x": 3})
+        ) is None
 
     def test_no_path_disables_persistence(self, tmp_path):
-        store = CheckpointStore(None, 1)
-        store.save({"rows": []})  # no-op, no crash
-        assert store.load() is None
+        spec = JobSpec(key="j", fn=_double, payload={"x": 1})
+        store = CheckpointStore(None)
+        store.load()
+        assert not store.record(spec, _ran(spec))
+        assert store.lookup(spec) is None
+        assert os.listdir(tmp_path) == []
 
     def test_missing_file_is_fresh(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "absent.json"), 1)
-        assert store.load() is None
+        path = str(tmp_path / "absent.json")
+        store = CheckpointStore(path)
+        store.load()
+        assert store.results == {}
+        # Written at once, so a batch naming a checkpoint leaves one.
+        with open(path) as handle:
+            assert json.load(handle) == {"version": 2, "results": {}}
 
     def test_fresh_flag_discards_existing(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        CheckpointStore(path, 1).save({"rows": [1]})
-        assert CheckpointStore(path, 1, fresh=True).load() is None
+        spec = JobSpec(key="j", fn=_double, payload={"x": 1})
+        store = CheckpointStore(path)
+        store.load()
+        store.record(spec, _ran(spec))
+        fresh = CheckpointStore(path, fresh=True)
+        fresh.load()
+        assert fresh.lookup(spec) is None
+
+    @staticmethod
+    def _loaded(path, content):
+        with open(path, "w") as handle:
+            json.dump(content, handle)
+        store = CheckpointStore(path)
+        store.load()
+        return store.results
 
     def test_version_mismatch_starts_fresh(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        CheckpointStore(path, 1).save({"rows": [1]})
-        assert CheckpointStore(path, 2).load() is None
-
-    def test_batch_key_mismatch_starts_fresh(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        CheckpointStore(path, 1, batch_key="a").save({"rows": [1]})
-        assert CheckpointStore(path, 1, batch_key="b").load() is None
-        got = CheckpointStore(path, 1, batch_key="a").load()
-        assert got["rows"] == [1]
+        assert self._loaded(path, {"version": 1, "points": []}) == {}
+        assert self._loaded(path, {"version": 2, "results": [1]}) == {}
 
     def test_non_dict_payload_starts_fresh(self, tmp_path):
+        assert self._loaded(str(tmp_path / "ck.json"), [1, 2, 3]) == {}
+
+    def test_only_successes_and_plain_entries_are_kept(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        with open(path, "w") as handle:
-            json.dump([1, 2, 3], handle)
-        assert CheckpointStore(path, 1).load() is None
+        store = CheckpointStore(path)
+        store.load()
+        failing = JobSpec(key="bad", fn=_boom, payload={"x": 1})
+        assert not store.record(failing, _ran(failing))
+        spec = JobSpec(key="s", fn=_with_spans, payload={"x": 2})
+        raw = _ran(spec)
+        raw["value"]["live"] = object()  # e.g. a metrics registry
+        assert store.record(spec, raw)
+        assert store.lookup(spec) == {"ok": True, "value": {"v": 2}}
+        assert store.lookup(failing) is None
+
+    def test_lookup_returns_a_copy(self, tmp_path):
+        store = CheckpointStore(str(tmp_path / "ck.json"))
+        store.load()
+        spec = JobSpec(key="j", fn=_double, payload={"x": 5})
+        store.record(spec, _ran(spec))
+        store.lookup(spec)["value"].pop("doubled")
+        assert store.lookup(spec)["value"] == {"doubled": 10}
+
+    def test_backing_store_miss_and_hit_are_recorded(self, tmp_path):
+        backing = _DictStore()
+        spec = JobSpec(key="j", fn=_double, payload={"x": 7})
+        backing.record(spec, _ran(spec))
+        cold = CheckpointStore(str(tmp_path / "a.json"), backing=backing)
+        cold.load()
+        assert cold.lookup(spec)["value"] == {"doubled": 14}
+        assert backing.lookups == 1
+        # The backing hit is now in the checkpoint: no second lookup.
+        assert cold.lookup(spec)["value"] == {"doubled": 14}
+        assert backing.lookups == 1
+        # A fresh result reaches both.
+        other = JobSpec(key="k", fn=_double, payload={"x": 8})
+        assert cold.record(other, _ran(other))
+        assert backing.raw["k"]["value"] == {"doubled": 16}
+        computed = CheckpointStore(str(tmp_path / "b.json"))
+        computed.load()
+        computed.record(spec, _ran(spec))
+        computed.record(other, _ran(other))
+        with open(tmp_path / "a.json", "rb") as a, \
+                open(tmp_path / "b.json", "rb") as b:
+            assert a.read() == b.read()
 
     def test_corrupt_file_raises_naming_path(self, tmp_path):
         path = str(tmp_path / "ck.json")
         with open(path, "w") as handle:
-            handle.write('{"version": 1, "rows": [tru')  # truncated
-        store = CheckpointStore(path, 1)
+            handle.write('{"version": 2, "results": {tru')  # truncated
+        store = CheckpointStore(path)
         with pytest.raises(ExecError) as err:
             store.load()
         message = str(err.value)
@@ -153,15 +255,19 @@ class TestCheckpointStore:
         # ExecError is a ReproError: the CLI reports it and exits 2.
         assert isinstance(err.value, ReproError)
         # The escape hatch works on the very same file.
-        assert CheckpointStore(path, 1, fresh=True).load() is None
+        fresh = CheckpointStore(path, fresh=True)
+        fresh.load()
+        assert fresh.results == {}
 
     def test_save_is_atomic_and_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        store = CheckpointStore(path, 1, tmp_prefix=".t-ckpt-")
-        store.save({"rows": [1]})
-        store.save({"rows": [1, 2]})
+        store = CheckpointStore(path)
+        store.load()
+        for x in range(3):
+            spec = JobSpec(key=x, fn=_double, payload={"x": x})
+            store.record(spec, _ran(spec))
         assert sorted(os.listdir(tmp_path)) == ["ck.json"]
-        assert store.load()["rows"] == [1, 2]
+        assert len(store.results) == 3
 
 
 class TestJobShim:
@@ -247,9 +353,20 @@ class TestRunJobs:
             assert result.error_type == "KeyError"
             assert result.error == str(exc)
 
-    def test_skip_filters_before_execution(self):
-        merged = _collect(_jobs(4), 1, skip=lambda job: job.key < 2)
-        assert [key for key, *_ in merged] == [2, 3]
+    def test_checkpoint_hit_merges_in_place_without_executing(
+        self, tmp_path
+    ):
+        jobs = _jobs(4, fn=_counting_aux)
+        store = CheckpointStore(str(tmp_path / "ck.json"))
+        store.load()
+        for spec in jobs[1:3]:
+            store.record(spec, _ran(spec))
+        _AUX_CALLS["n"] = 0
+        merged = _collect(jobs, 1, store=store)
+        assert _AUX_CALLS["n"] == 2  # jobs 0 and 3 only
+        assert merged == _collect(jobs, 1)
+        assert [key for key, *_ in merged] == [0, 1, 2, 3]
+        assert _collect(jobs, 2, store=store) == merged
 
     def test_budget_diverts_to_skip_callback(self):
         skipped = []
@@ -327,23 +444,18 @@ class TestHardCrashIsolation:
             JobSpec(key=i, fn=crashing_job, payload={"x": i})
             for i in range(3)
         ]
-        store = CheckpointStore(str(tmp_path / "ck.json"), 1)
-        completed = {}
-
-        def merge(spec, result, _aux):
-            if result.ok:
-                completed[str(spec.key)] = result.value
-                store.save({"done": completed})
+        path = str(tmp_path / "ck.json")
+        store = CheckpointStore(path)
+        store.load()
 
         monkeypatch.setenv(CRASH_ENV, "1")
         outcomes = []
         run_jobs(
             jobs,
-            lambda spec, result, _aux: (
-                outcomes.append((spec.key, result.ok)),
-                merge(spec, result, _aux),
+            lambda spec, result, _aux: outcomes.append(
+                (spec.key, result.ok)
             ),
-            workers=2,
+            workers=2, store=store,
         )
         assert [key for key, _ in outcomes] == [0, 1, 2]
         assert not all(ok for _, ok in outcomes)  # the crash surfaced
@@ -351,14 +463,18 @@ class TestHardCrashIsolation:
         monkeypatch.delenv(CRASH_ENV)
         # Resume from whatever survived (every job may have failed if
         # the crash broke the pool before any completion landed).
-        completed = dict((store.load() or {}).get("done", {}))
+        resumed = CheckpointStore(path)
+        resumed.load()
+        values = {}
         run_jobs(
-            jobs, merge, workers=2,
-            skip=lambda job: str(job.key) in completed,
+            jobs,
+            lambda spec, result, _aux: values.__setitem__(
+                spec.key, result.value
+            ),
+            workers=2, store=resumed,
         )
-        assert completed == {
-            str(i): {"value": i * 10} for i in range(3)
-        }
+        assert values == {i: {"value": i * 10} for i in range(3)}
+        assert len(resumed.results) == 3
 
 
 # ----------------------------------------------------------------------
@@ -447,34 +563,101 @@ class TestKillResumeByteIdentity:
     def test_bench_resume_preserves_completed_cases(self, tmp_path):
         """Bench metrics are wall-clock throughputs (noisy by nature),
         so the resume property is: carried-over cases survive verbatim
-        (proving the skip), the suite order and metric names match, and
-        the one deterministic metric is value-identical."""
+        (proving they were replayed, not re-run), the suite order and
+        metric names match, and the one deterministic metric is
+        value-identical."""
         from repro import bench
 
         scale = dict(accesses=40, cores=2, seed=3)
         ck_full = str(tmp_path / "bench_full.json")
         metrics_full = bench.run_suite(checkpoint=ck_full, **scale)
 
+        # A killed suite's checkpoint: the full one minus some cases.
         with open(ck_full) as handle:
             data = json.load(handle)
-        carried = dict(list(data["cases"].items())[:2])
+        carried = dict(list(sorted(data["results"].items()))[:2])
         ck_res = str(tmp_path / "bench_part.json")
-        CheckpointStore(
-            ck_res, bench.CHECKPOINT_VERSION,
-            batch_key=data["batch_key"],
-        ).save({"cases": carried})
+        with open(ck_res, "w") as handle:
+            json.dump(dict(data, results=carried), handle)
 
         metrics_resumed = bench.run_suite(checkpoint=ck_res, **scale)
         with open(ck_res) as handle:
             final = json.load(handle)
-        for key, value in carried.items():
-            assert final["cases"][key] == value  # not re-run
+        assert set(final["results"]) == set(data["results"])
+        for key, entry in carried.items():
+            assert final["results"][key] == entry  # not re-run
         assert [m.name for m in metrics_resumed] == \
             [m.name for m in metrics_full]
         deterministic = "template_cache_hit_rate"
         assert {m.name: m.value for m in metrics_resumed}[
             deterministic
         ] == {m.name: m.value for m in metrics_full}[deterministic]
+
+
+# ----------------------------------------------------------------------
+# A changed input never resumes: reuse is keyed on what a job computes.
+# ----------------------------------------------------------------------
+
+class TestChangedInputNeverResumes:
+    def test_span_flag_is_not_part_of_the_identity(self):
+        from repro.exec.keys import content_key
+
+        payload = {"x": 1, "config": (1, 2)}
+        key = content_key(_double, payload)
+        assert content_key(_double, dict(payload, **{SPANS_KEY: True})) \
+            == key
+        assert content_key(_double, dict(payload, **{SPANS_KEY: False})) \
+            == key
+        assert content_key(_double, dict(payload, x=2)) != key
+
+    @pytest.mark.parametrize("change", [
+        {"accesses_per_core": 80}, {"seed": 99},
+    ])
+    def test_sweep_config_change_gives_a_cold_table(self, tmp_path, change):
+        from repro.sim.config import SystemConfig
+        from repro.sim.sweep import Sweep
+
+        config = SystemConfig(num_cores=2, accesses_per_core=40)
+        changed = dataclasses.replace(config, **change)
+        ckpt = str(tmp_path / "ck.json")
+        Sweep(config, checkpoint=ckpt).run_grid(["fs_rp"], ["mcf"])
+        resumed = Sweep(changed, checkpoint=ckpt)
+        resumed.run_grid(["fs_rp"], ["mcf"])
+        cold = Sweep(changed)
+        cold.run_grid(["fs_rp"], ["mcf"])
+        assert resumed.points == cold.points
+
+    @pytest.mark.parametrize("change", [
+        {"engine": "reference"}, {"max_cycles": 3_000_000},
+    ])
+    def test_sweep_run_change_runs_the_cells_again(
+        self, tmp_path, monkeypatch, change
+    ):
+        import repro.sim.sweep as sweep_mod
+        from repro.sim.config import SystemConfig
+
+        ran = []
+        real = sweep_mod.run_scheme
+
+        def counting(scheme, *args, **kwargs):
+            ran.append(scheme)
+            return real(scheme, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_scheme", counting)
+        config = SystemConfig(num_cores=2, accesses_per_core=40)
+        ckpt = str(tmp_path / "ck.json")
+        settings = {"engine": "fast", "max_cycles": 2_000_000}
+        sweep_mod.Sweep(config, checkpoint=ckpt, **settings).run_grid(
+            ["fs_rp"], ["mcf"]
+        )
+        sweep_mod.Sweep(config, checkpoint=ckpt, **settings).run_grid(
+            ["fs_rp"], ["mcf"]
+        )
+        assert ran == ["fs_rp", "baseline"]  # the rerun replayed both
+        sweep_mod.Sweep(
+            config, checkpoint=ckpt, **dict(settings, **change)
+        ).run_grid(["fs_rp"], ["mcf"])
+        assert ran == ["fs_rp", "baseline"] * 2
 
 
 # ----------------------------------------------------------------------

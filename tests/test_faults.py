@@ -651,22 +651,33 @@ class TestSweepResilience:
         assert 0 < len(interrupted.points) < len(grid)
         monkeypatch.setattr(sweep_mod, "run_scheme", real)
 
-        # Resume: a fresh Sweep on the same checkpoint re-simulates only
-        # the missing cells and reproduces the reference table exactly.
+        # Resume: a fresh Sweep on the same checkpoint replays the
+        # finished cells and baselines, re-simulates only the missing
+        # ones, and reproduces the reference table exactly.
+        ran = []
+
+        def counting(scheme, *args, **kwargs):
+            ran.append(scheme)
+            return real(scheme, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_scheme", counting)
         resumed = Sweep(
             config, max_cycles=2_000_000, checkpoint=ckpt, strict=True
         )
-        already = len(resumed.points)
-        assert already == len(interrupted.points)
         for scheme, wl in grid:
             resumed.run_point(scheme, wl)
         assert resumed.points == reference.points
+        # Replayed: fs_rp x mcf, its baseline, fs_rp x libquantum.
+        assert ran == ["baseline", "fs_rp", "baseline"]
 
-        # And the checkpoint file itself round-trips.
-        with open(ckpt) as handle:
-            data = json.load(handle)
-        assert data["version"] == sweep_mod.CHECKPOINT_VERSION
-        assert len(data["points"]) == len(grid)
+        # And the checkpoint file itself round-trips: a third run on it
+        # simulates nothing.
+        ran.clear()
+        replayed = Sweep(config, max_cycles=2_000_000, checkpoint=ckpt)
+        for scheme, wl in grid:
+            replayed.run_point(scheme, wl)
+        assert ran == []
+        assert replayed.points == reference.points
 
     def test_incompatible_checkpoint_is_ignored(self, tmp_path):
         ckpt = tmp_path / "old.json"
@@ -678,15 +689,22 @@ class TestSweepResilience:
         sweep = Sweep(sweep_config(), checkpoint=str(ckpt))
         assert sweep.points == []
 
-    def test_failed_points_survive_checkpoint(self, tmp_path):
+    def test_failed_cell_is_retried_not_carried(self, tmp_path):
+        """Failures are not checkpointed: each rerun that fails lists
+        the failure once, and a rerun that succeeds lists none."""
         ckpt = str(tmp_path / "fail.json")
-        sweep = Sweep(
-            sweep_config(), checkpoint=ckpt, point_wall_budget_s=0.0
-        )
-        sweep.run_point("fs_rp", "mcf")
-        assert sweep.failed_points
-        reloaded = Sweep(sweep_config(), checkpoint=ckpt)
-        assert reloaded.failed_points == sweep.failed_points
+        for _ in range(2):
+            sweep = Sweep(
+                sweep_config(), checkpoint=ckpt, point_wall_budget_s=0.0
+            )
+            sweep.run_grid(["fs_rp"], ["mcf"])
+            assert [f.error_type for f in sweep.failed_points] == \
+                ["SimTimeoutError"]
+            assert sweep.points == []
+        healed = Sweep(sweep_config(), checkpoint=ckpt)
+        healed.run_grid(["fs_rp"], ["mcf"])
+        assert healed.failed_points == []
+        assert [p.scheme for p in healed.points] == ["fs_rp"]
 
 
 # ---------------------------------------------------------------------------
@@ -731,4 +749,11 @@ class TestCli:
         assert code == 0
         assert "fs_rp" in out
         with open(ckpt) as handle:
-            assert json.load(handle)["points"]
+            jobs = [
+                entry["job"]
+                for entry in json.load(handle)["results"].values()
+            ]
+        # The cell and its baseline run, each under its job key.
+        assert len(jobs) == 2
+        assert any("fs_rp" in job for job in jobs)
+        assert any("baseline" in job for job in jobs)

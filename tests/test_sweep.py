@@ -22,10 +22,20 @@ class TestRunPoint:
         assert point.energy_pj > 0
         assert sweep.points == [point]
 
-    def test_baseline_cached(self, sweep):
+    def test_baseline_cached(self, sweep, monkeypatch):
+        import repro.sim.sweep as sweep_mod
+
+        ran = []
+        real = sweep_mod.run_scheme
+
+        def counting(scheme, *args, **kwargs):
+            ran.append(scheme)
+            return real(scheme, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_scheme", counting)
         sweep.run_point("fs_rp", "xalancbmk")
         sweep.run_point("tp_bp", "xalancbmk")
-        assert len(sweep._baselines) == 1
+        assert ran == ["fs_rp", "baseline", "tp_bp"]
 
     def test_options_forwarded(self, sweep):
         point = sweep.run_point(
