@@ -29,9 +29,11 @@ def test_covert_channel_elimination(benchmark):
             round(base.window_means[i], 1), base.decoded_bits[i],
             round(fs.window_means[i], 1), fs.decoded_bits[i],
         ])
+    # Latencies are each window's excess over a run with the sender
+    # silent (same receiver probes).
     publish("covert_channel", format_table(
-        ["window", "sent", "baseline latency", "baseline decoded",
-         "FS latency", "FS decoded"],
+        ["window", "sent", "baseline excess", "baseline decoded",
+         "FS excess", "FS decoded"],
         rows,
         title=(
             "Covert channel: baseline BER "

@@ -26,7 +26,8 @@ def transmit(scheme: str) -> None:
     print(f"bit error rate: {result.bit_error_rate:.2f}   "
           f"latency swing: {result.signal_swing:.1f} cycles")
     bars = " ".join(f"{m:5.1f}" for m in result.window_means[:8])
-    print(f"receiver latency per window (first 8): {bars}")
+    print(f"receiver latency added by the sender, per window "
+          f"(first 8): {bars}")
 
 
 def main() -> None:

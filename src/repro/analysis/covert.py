@@ -5,12 +5,16 @@ al., Hunger et al.): a *sender* domain modulates its memory intensity —
 bursts of reads for a 1 bit, silence for a 0 bit — while a *receiver*
 domain continuously probes memory and measures its own latencies.  Under
 a contended scheduler the receiver's per-window mean latency tracks the
-sender's bits; under FS it is flat.
+sender's bits; under FS it does not move.
 
 :func:`run_covert_channel` drives a controller open-loop (no cores,
 through :func:`repro.sim.openloop.drive_open_loop`) so the channel is
-measured in isolation, and returns the received latency signal, the
-decoded bits, and the bit error rate.
+measured in isolation.  The signal is what the sender adds: the
+receiver's latency beside the sender minus its latency, probe for probe,
+beside a silent sender.  A receiver whose own probes outrun its slot
+rate sees its latency ramp either way, and the difference cancels that
+ramp.  The result carries the signal, the decoded bits, and the bit
+error rate.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ class CovertChannelResult:
     scheme: str
     sent_bits: Tuple[int, ...]
     decoded_bits: Tuple[int, ...]
-    #: Mean receiver latency per bit window.
+    #: Per bit window, the receiver's mean latency beside the sender
+    #: minus its mean latency beside a silent sender (the same probes).
     window_means: Tuple[float, ...]
 
     @property
@@ -69,54 +74,61 @@ def run_covert_channel(
     Domain 0 is the receiver (one probe read every ``probe_period``
     cycles); domain 1 is the sender (reads every ``burst_period`` cycles
     during 1-bit windows, nothing during 0-bit windows).  Remaining
-    domains are silent.
+    domains are silent.  The receiver's probes run twice, with the same
+    seed: beside the sender and beside a silent sender.  Decoding reads
+    the per-window difference between the two runs.
     """
     config = config or SystemConfig()
     if bits is None:
         rng_bits = random.Random(seed)
         bits = tuple(rng_bits.randrange(2) for _ in range(32))
     bits = tuple(int(b) for b in bits)
-    options = SchemeOptions()
     partition = partition_for(scheme, config)
-    controller = build_controller(scheme, config, partition, options)
-
-    rng = random.Random(seed)
-    requests: List[Request] = []
     total_cycles = window * len(bits)
-    # Receiver probes: random lines so the baseline cannot hide them in
-    # row hits.
-    t = 0
-    while t < total_cycles:
-        line = rng.randrange(1 << 16)
-        requests.append(Request(
-            op=OpType.READ, address=partition.decode(0, line),
-            domain=0, arrival=t, line=line,
-        ))
-        t += probe_period
-    # Sender bursts during 1 windows.
-    for index, bit in enumerate(bits):
-        if not bit:
-            continue
-        t = index * window
-        while t < (index + 1) * window:
+
+    def receiver_means(sent: Sequence[int]) -> List[float]:
+        rng = random.Random(seed)
+        requests: List[Request] = []
+        # Receiver probes: random lines so the baseline cannot hide them
+        # in row hits.  They are drawn first, so both runs share them.
+        t = 0
+        while t < total_cycles:
             line = rng.randrange(1 << 16)
             requests.append(Request(
-                op=OpType.READ, address=partition.decode(1, line),
-                domain=1, arrival=t, line=line,
+                op=OpType.READ, address=partition.decode(0, line),
+                domain=0, arrival=t, line=line,
             ))
-            t += burst_period
-    # Stop measuring if the scheduler cannot keep up.
-    released, _ = drive_open_loop(
-        controller, requests, stop_after=total_cycles * 50
-    )
+            t += probe_period
+        # Sender bursts during 1 windows.
+        for index, bit in enumerate(sent):
+            if not bit:
+                continue
+            t = index * window
+            while t < (index + 1) * window:
+                line = rng.randrange(1 << 16)
+                requests.append(Request(
+                    op=OpType.READ, address=partition.decode(1, line),
+                    domain=1, arrival=t, line=line,
+                ))
+                t += burst_period
+        controller = build_controller(
+            scheme, config, partition, SchemeOptions()
+        )
+        # Stop measuring if the scheduler cannot keep up.
+        released, _ = drive_open_loop(
+            controller, requests, stop_after=total_cycles * 50
+        )
+        return window_latency_means(released, window, len(bits))
 
-    window_means = window_latency_means(released, window, len(bits))
-    decoded = threshold_decode(window_means)
+    excess = [
+        loud - quiet for loud, quiet in
+        zip(receiver_means(bits), receiver_means((0,) * len(bits)))
+    ]
     return CovertChannelResult(
         scheme=scheme,
         sent_bits=bits,
-        decoded_bits=decoded,
-        window_means=tuple(window_means),
+        decoded_bits=threshold_decode(excess),
+        window_means=tuple(excess),
     )
 
 
@@ -148,19 +160,20 @@ def window_latency_means(
     ]
 
 
+def is_flat(window_means: Sequence[float]) -> bool:
+    """A signal whose swing is below 1e-9 (the FS case) carries
+    nothing."""
+    return not window_means or max(window_means) - min(window_means) < 1e-9
+
+
 def threshold_decode(window_means: Sequence[float]) -> Tuple[int, ...]:
     """Decode with the optimal single threshold: the midpoint between the
     two latency clusters (sender-agnostic).
 
-    A flat signal (swing below 1e-9, the FS case) carries nothing and
-    decodes to all zeros; a window mean exactly *at* the threshold is
-    not ``>`` it and also decodes to 0.
+    A flat signal (:func:`is_flat`) decodes to all zeros; a window mean
+    exactly *at* the threshold is not ``>`` it and also decodes to 0.
     """
-    if not window_means:
-        return ()
-    lo, hi = min(window_means), max(window_means)
-    threshold = (lo + hi) / 2.0
-    if hi - lo < 1e-9:
-        # Flat signal: the channel carries nothing; decode everything as 0.
+    if is_flat(window_means):
         return tuple(0 for _ in window_means)
+    threshold = (min(window_means) + max(window_means)) / 2.0
     return tuple(1 if m > threshold else 0 for m in window_means)

@@ -3,11 +3,12 @@
 Contents:
 
 * :mod:`~repro.core.pipeline_solver` — offline constraint solving for the
-  minimal conflict-free slot gap (Sections 3-4 equations).
+  minimal conflict-free slot gap (Sections 3-4 equations), by replaying
+  candidates through the JEDEC checker.
 * :mod:`~repro.core.schedule` — concrete slot timetables (Figures 1-2),
-  including triple alternation and reordered bank partitioning, an
-  independent validator, and the process-wide schedule memo both
-  engines build through.
+  including triple alternation and the reordered-bank-partitioning
+  geometry search, their validators, and the process-wide schedule
+  memo both engines build through.
 * :mod:`~repro.core.shaping` — per-domain shaping: hazard tracking and
   dummy generation.
 * :mod:`~repro.core.fs_controller` — the FS controller and the base
@@ -19,7 +20,6 @@ Contents:
 """
 
 from .pipeline_solver import (
-    ConflictReport,
     GroupedPipeline,
     GroupedPipelineSolver,
     PeriodicMode,
@@ -58,7 +58,7 @@ from .fs_reordered import ReorderedBpController
 from .online_monitor import OnlineInvariantMonitor
 
 __all__ = [
-    "ConflictReport", "GroupedPipeline", "GroupedPipelineSolver",
+    "GroupedPipeline", "GroupedPipelineSolver",
     "PeriodicMode", "PipelineSolver", "SharingLevel",
     "paper_solutions", "slot_timing",
     "bandwidth_share", "build_sla_schedule", "weighted_slot_order",

@@ -2,9 +2,12 @@
 
 All domains inject one transaction at the start of each interval; the
 controller issues every read first, then every write, with a uniform
-6-cycle data pitch and a single write-to-read tail before the next
-interval — nearly doubling bus utilization over the basic bank-partitioned
-pipeline (Q = 63 vs 120 for eight domains).
+data pitch (6 cycles on Table 1) and a single write-to-read tail before
+the next interval — nearly doubling bus utilization over the basic
+bank-partitioned pipeline (Q = 63 vs 120 for eight domains).  The pitch
+and tail are searched per part until two intervals of every read/write
+mix replay cleanly through the JEDEC checker
+(:func:`~repro.core.schedule.build_reordered_bp_geometry`).
 
 Re-ordering reads before writes would leak the read/write mix of
 co-runners through read latencies, so read results are *released en masse*
@@ -19,6 +22,7 @@ from typing import List, Optional, Tuple
 
 from ..dram.commands import OpType, Request, RequestKind
 from ..dram.system import DramSystem
+from ..errors import ConfigError
 from ..faults import FaultInjector, FaultKind
 from ..mapping.partition import PartitionPolicy
 from .energy_opts import FsEnergyOptions
@@ -41,11 +45,11 @@ _DUMMY = RequestKind.DUMMY
 class ReorderedBpController(FsControllerBase):
     """Interval-batched FS: reads first, writes after, en-masse release.
 
-    No pipeline solver proves a reordered geometry legal, so the
-    controller issues trusted only when its geometry passed
+    Every geometry the controller holds passed
     :func:`~repro.core.schedule.validate_reordered_bp_geometry` on its
-    own timing parameters; otherwise it sets ``trusted_issue = False``
-    on the instance and every command is checked.
+    own timing parameters: the default one is searched that way, and an
+    explicit ``geometry=`` that fails the replay raises
+    :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -60,23 +64,24 @@ class ReorderedBpController(FsControllerBase):
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         if geometry is None:
-            geometry, legal = cached_reordered_bp_geometry(
-                dram.params, num_domains
-            )
+            geometry = cached_reordered_bp_geometry(dram.params, num_domains)
         elif geometry.num_domains != num_domains:
             raise ValueError("geometry domain count mismatch")
         else:
-            legal = not validate_reordered_bp_geometry(
+            violations = validate_reordered_bp_geometry(
                 dram.params, geometry
             )
+            if violations:
+                raise ConfigError(
+                    f"reordered-BP geometry {geometry} breaks the DRAM "
+                    f"timing of this part: {violations[0]}"
+                )
         # One decision per interval, at the interval's first cycle.
         super().__init__(
             dram, num_domains, partition, channel, energy_options,
             log_commands, fault_injector, (0,), geometry.interval_length,
         )
         self.geometry = geometry
-        if not legal:
-            self.trusted_issue = False
         self._lead = reordered_bp_lead(dram.params)
 
     # ------------------------------------------------------------------

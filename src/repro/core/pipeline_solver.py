@@ -7,11 +7,14 @@ command/CAS), then find the smallest ``l`` such that *no* assignment of
 reads and writes to slots can create a command-bus, data-bus, bank, or
 rank conflict.
 
-This module generalizes the paper's hand-derived equations: for a
-candidate ``l`` it enumerates every slot pair within the constraint
-horizon and every read/write type combination and checks the full
-constraint set for the requested sharing level.  For the Table-1 part it
-reproduces the paper's solutions exactly:
+This module does not restate those inequalities.  For a candidate ``l``
+it places every slot pair within the constraint horizon, in every
+read/write combination and on every placement the sharing level allows,
+expands each transaction into an ACTIVATE and its auto-precharging column
+command (:func:`transaction_commands`), and replays them through
+:class:`~repro.dram.checker.TimingChecker`: the JEDEC rules that check
+finished runs also decide which gaps the solver accepts.  For the Table-1
+part it reproduces the paper's solutions exactly:
 
 ====================  ==========  ==========  =========
 sharing level         DATA        RAS         CAS
@@ -29,8 +32,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
+from ..dram.checker import TimingChecker, Violation
+from ..dram.commands import Command, CommandType
 from ..dram.timing import TimingParams
 
 
@@ -89,24 +94,36 @@ def slot_timing(
     return SlotTiming(act=act, col=col, data=data, is_read=is_read)
 
 
-@dataclass(frozen=True)
-class ConflictReport:
-    """Why a candidate ``l`` was rejected (for diagnostics and tests)."""
+#: One FS transaction: (ACT cycle, column cycle, rank, bank, is_read).
+Transaction = Tuple[int, int, int, int, bool]
+#: Both directions, read first.
+_RW = (True, False)
 
-    l: int
-    rule: str
-    distance: int
-    earlier_is_read: bool
-    later_is_read: bool
-    required: int
-    actual: int
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        e = "R" if self.earlier_is_read else "W"
-        lt = "R" if self.later_is_read else "W"
-        return (
-            f"l={self.l}: {self.rule} between slots {self.distance} apart "
-            f"({e}->{lt}) needs {self.required}, got {self.actual}"
+def transaction_commands(
+    act: int, col: int, rank: int, bank: int, is_read: bool,
+    row: int = -1, domain: int = -1,
+) -> Tuple[Command, Command]:
+    """One FS transaction as it goes on the bus (channel 0): an
+    ACTIVATE and its auto-precharging column command."""
+    column = CommandType.COL_READ_AP if is_read else CommandType.COL_WRITE_AP
+    return (
+        Command(CommandType.ACTIVATE, act, 0, rank, bank, row,
+                domain=domain),
+        Command(column, col, 0, rank, bank, row, domain=domain),
+    )
+
+
+def replay(
+    params: TimingParams, replays: Iterable[Sequence[Transaction]]
+) -> Iterator[Violation]:
+    """Replay each group of transactions on its own through
+    :class:`~repro.dram.checker.TimingChecker`, in order, yielding what
+    it flags; a caller that stops reading stops the replays."""
+    checker = TimingChecker(params)
+    for transactions in replays:
+        yield from checker.check(
+            cmd for t in transactions for cmd in transaction_commands(*t)
         )
 
 
@@ -122,30 +139,53 @@ class PipelineSolver:
 
     def check(
         self, l: int, mode: PeriodicMode, sharing: SharingLevel
-    ) -> Optional[ConflictReport]:
-        """Return the first conflict for slot gap ``l``, or None if legal."""
+    ) -> Optional[Violation]:
+        """The checker's first violation for slot gap ``l``, or None if
+        the gap is legal.
+
+        Slot pairs up to the constraint horizon apart are replayed in
+        all four read/write combinations on each placement the sharing
+        level allows: every slot on its own rank (RANK); one rank with
+        slot k on bank k (BANK) or all slots on one bank (NONE), then
+        those banks on distinct ranks, where tRTRS binds.  One-rank
+        placements also replay all 32 read/write patterns of five
+        consecutive slots (the tFAW window).  Slot 0's anchor sits one
+        horizon after cycle 0, so no command lands before it.
+        """
         if l < 1:
             raise ValueError("slot gap must be >= 1")
         horizon = self._horizon()
-        max_distance = max(1, -(-horizon // l))  # ceil
         timings = {
             True: slot_timing(self.params, mode, True),
             False: slot_timing(self.params, mode, False),
         }
-        for d in range(1, max_distance + 1):
-            for first_read, second_read in itertools.product(
-                (True, False), repeat=2
-            ):
-                report = self._check_pair(
-                    l, d, timings[first_read], timings[second_read], sharing
-                )
-                if report is not None:
-                    return report
-        if sharing in (SharingLevel.BANK, SharingLevel.NONE):
-            report = self._check_faw(l, timings)
-            if report is not None:
-                return report
-        return None
+
+        def slot(k: int, is_read: bool, ranks: int, banks: int):
+            # ranks/banks 1: slot k on rank/bank k; 0: all on the first.
+            t = timings[is_read]
+            anchor = horizon + k * l
+            return (anchor + t.act, anchor + t.col, k * ranks, k * banks,
+                    is_read)
+
+        def pairs(ranks: int, banks: int):
+            for d in range(1, max(1, -(-horizon // l)) + 1):
+                for first, second in itertools.product(_RW, repeat=2):
+                    yield (slot(0, first, ranks, banks),
+                           slot(d, second, ranks, banks))
+
+        def windows(banks: int):
+            for pattern in itertools.product(_RW, repeat=5):
+                yield [slot(k, r, 0, banks) for k, r in enumerate(pattern)]
+
+        if sharing is SharingLevel.RANK:
+            replays = pairs(1, 0)
+        else:
+            banks = 1 if sharing is SharingLevel.BANK else 0
+            # One rank first: most rejected gaps fail on its first pair.
+            replays = itertools.chain(
+                pairs(0, banks), windows(banks), pairs(1, banks)
+            )
+        return next(replay(self.params, replays), None)
 
     def solve(
         self,
@@ -199,10 +239,6 @@ class PipelineSolver:
         return max(p.tRC, p.write_turnaround_same_bank,
                    p.tRCD + p.tCAS + p.tRTP + p.tRP)
 
-    # ------------------------------------------------------------------
-    # Constraint checks.
-    # ------------------------------------------------------------------
-
     def _horizon(self) -> int:
         """Largest time span any pairwise constraint can reach across."""
         p = self.params
@@ -216,108 +252,6 @@ class PipelineSolver:
         )
         offsets = p.tRCD + max(p.tCAS, p.tCWD)
         return reach + 2 * offsets
-
-    def _check_pair(
-        self,
-        l: int,
-        d: int,
-        first: SlotTiming,
-        second: SlotTiming,
-        sharing: SharingLevel,
-    ) -> Optional[ConflictReport]:
-        """Check slot k (timing ``first``) against slot k+d (``second``)."""
-        p = self.params
-        shift = d * l
-
-        def report(rule: str, required: int, actual: int) -> ConflictReport:
-            return ConflictReport(
-                l, rule, d, first.is_read, second.is_read, required, actual
-            )
-
-        # --- command bus: one command per cycle, ever. -----------------
-        first_cmds = (first.act, first.col)
-        second_cmds = (second.act + shift, second.col + shift)
-        for a in first_cmds:
-            for b in second_cmds:
-                if a == b:
-                    return report("command-bus", 1, 0)
-
-        # --- data bus. --------------------------------------------------
-        data_gap = abs((second.data + shift) - first.data)
-        if sharing is SharingLevel.RANK:
-            # Worst case: the two slots are different ranks.
-            need = p.tBURST + p.tRTRS
-            if data_gap < need:
-                return report("data-bus(tRTRS)", need, data_gap)
-            return None  # nothing else is shared across ranks
-        # Same-rank worst case still has to honour the cross-rank data
-        # bubble (the slots *may* be different ranks too).
-        need = p.tBURST + p.tRTRS
-        if data_gap < need:
-            return report("data-bus(tRTRS)", need, data_gap)
-
-        # --- same-rank rank-level constraints (BANK and NONE). ---------
-        act_gap = (second.act + shift) - first.act
-        if abs(act_gap) < p.tRRD:
-            return report("tRRD", p.tRRD, abs(act_gap))
-
-        col_first = first.col
-        col_second = second.col + shift
-        if col_first <= col_second:
-            earlier_read, later_read = first.is_read, second.is_read
-            col_gap = col_second - col_first
-        else:
-            earlier_read, later_read = second.is_read, first.is_read
-            col_gap = col_first - col_second
-        if earlier_read == later_read:
-            need, rule = p.tCCD, "tCCD"
-        elif earlier_read:
-            need, rule = p.read_to_write, "rd->wr"
-        else:
-            need, rule = p.write_to_read, "wr->rd(tWTR)"
-        if col_gap < need:
-            return report(rule, need, col_gap)
-
-        if sharing is SharingLevel.BANK:
-            return None
-
-        # --- same-bank constraints (NONE). ------------------------------
-        if abs(act_gap) < p.tRC:
-            return report("tRC", p.tRC, abs(act_gap))
-        # The later activate must wait for the earlier transaction's
-        # (auto-)precharge to finish.
-        if first.is_read:
-            pre_done = max(
-                first.col + p.tRTP, first.act + p.tRAS
-            ) + p.tRP
-        else:
-            pre_done = max(
-                first.col + p.tCWD + p.tBURST + p.tWR,
-                first.act + p.tRAS,
-            ) + p.tRP
-        act_later = second.act + shift
-        if act_later < pre_done:
-            return report(
-                "precharge-turnaround",
-                pre_done - first.act,
-                act_later - first.act,
-            )
-        return None
-
-    def _check_faw(
-        self, l: int, timings: Dict[bool, SlotTiming]
-    ) -> Optional[ConflictReport]:
-        """tFAW: activates of slots k and k+4 (same rank, worst case)."""
-        p = self.params
-        for first_read, fifth_read in itertools.product(
-            (True, False), repeat=2
-        ):
-            gap = (timings[fifth_read].act + 4 * l) - timings[first_read].act
-            if gap < p.tFAW:
-                return ConflictReport(
-                    l, "tFAW", 4, first_read, fifth_read, p.tFAW, gap
-                )
-        return None
 
 
 @dataclass(frozen=True)
@@ -363,73 +297,51 @@ class GroupedPipelineSolver:
         self, mode: PeriodicMode, group_size: int,
         intra_gap: int, inter_gap: int, horizon_groups: int = 8,
     ) -> bool:
-        """Is the periodic grouped pattern conflict-free?"""
+        """Is the periodic grouped pattern conflict-free?
+
+        Group g runs on rank g and its k-th transaction on bank k.  Every
+        pair of anchors up to the constraint horizon apart is replayed
+        through the checker in all four read/write combinations, nearest
+        pairs first; a group of five or more also replays every
+        read/write pattern of its first five transactions (the tFAW
+        window).
+        """
         if group_size < 1 or intra_gap < 1 or inter_gap < 1:
             raise ValueError("gaps and group size must be positive")
         pipeline = GroupedPipeline(group_size, intra_gap, inter_gap)
-        anchors: list = []
-        groups: list = []
-        for g in range(horizon_groups):
-            for a in pipeline.anchors(g):
-                anchors.append(a)
-                groups.append(g)
+        horizon = self._plain._horizon()
+        slots = [
+            (horizon + anchor, g, k)
+            for g in range(horizon_groups)
+            for k, anchor in enumerate(pipeline.anchors(g))
+        ]
         timings = {
             True: slot_timing(self.params, mode, True),
             False: slot_timing(self.params, mode, False),
         }
-        n = len(anchors)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for ri, rj in itertools.product((True, False), repeat=2):
-                    if not self._pair_ok(
-                        anchors[i], timings[ri], groups[i],
-                        anchors[j], timings[rj], groups[j],
-                    ):
-                        return False
-        # tFAW within a rank: activates of one group plus the wrap to
-        # the same domain's next period are far apart; check the intra
-        # group window directly.
-        if group_size >= 4:
-            for ri, rj in itertools.product((True, False), repeat=2):
-                gap = (
-                    (4 * intra_gap + timings[rj].act)
-                    - timings[ri].act
-                )
-                if gap < self.params.tFAW:
-                    return False
-        return True
 
-    def _pair_ok(self, a_i, t_i, g_i, a_j, t_j, g_j) -> bool:
-        p = self.params
-        # Command bus: never two commands in one cycle.
-        for x in (t_i.act + a_i, t_i.col + a_i):
-            for y in (t_j.act + a_j, t_j.col + a_j):
-                if x == y:
-                    return False
-        data_gap = abs((t_j.data + a_j) - (t_i.data + a_i))
-        if g_i != g_j:
-            # Different ranks: only the shared buses matter.
-            return data_gap >= p.tBURST + p.tRTRS
-        # Same rank, different banks.
-        if data_gap < p.tBURST:
-            return False
-        act_gap = abs((t_j.act + a_j) - (t_i.act + a_i))
-        if act_gap < p.tRRD:
-            return False
-        col_i, col_j = t_i.col + a_i, t_j.col + a_j
-        if col_i <= col_j:
-            first_read, second_read = t_i.is_read, t_j.is_read
-            col_gap = col_j - col_i
-        else:
-            first_read, second_read = t_j.is_read, t_i.is_read
-            col_gap = col_i - col_j
-        if first_read == second_read:
-            need = p.tCCD
-        elif first_read:
-            need = p.read_to_write
-        else:
-            need = p.write_to_read
-        return col_gap >= need
+        def transaction(slot, is_read: bool) -> Transaction:
+            anchor, group, k = slot
+            t = timings[is_read]
+            return (anchor + t.act, anchor + t.col, group, k, is_read)
+
+        n = len(slots)
+        replays = itertools.chain(
+            (
+                (transaction(slots[i], first),
+                 transaction(slots[i + d], second))
+                for d in range(1, n)
+                for i in range(n - d)
+                if slots[i + d][0] - slots[i][0] <= horizon
+                for first, second in itertools.product(_RW, repeat=2)
+            ),
+            (
+                [transaction(s, r) for s, r in zip(slots, pattern)]
+                for pattern in itertools.product(_RW, repeat=5)
+                if group_size >= 5
+            ),
+        )
+        return next(replay(self.params, replays), None) is None
 
     def solve(
         self, mode: PeriodicMode, group_size: int, max_gap: int = 64

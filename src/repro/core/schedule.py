@@ -5,13 +5,15 @@ component computes offline: a periodic timetable assigning each security
 domain fixed anchor cycles, from which every command time follows
 deterministically.  The FS controllers *interpret* a schedule; they never
 search.  Schedules are built from the :mod:`pipeline solver
-<repro.core.pipeline_solver>` output and can be independently validated
-with :class:`~repro.dram.checker.TimingChecker` (see
-:func:`validate_schedule`).
+<repro.core.pipeline_solver>` output, and the reordered-BP geometry is
+searched here; both accept a candidate only when it replays cleanly
+through :class:`~repro.dram.checker.TimingChecker`.
+:func:`validate_schedule` replays a whole timetable the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import (
@@ -19,13 +21,17 @@ from typing import (
 )
 
 from ..dram.checker import TimingChecker, Violation
-from ..dram.commands import Command, CommandType
+from ..dram.commands import Command
 from ..dram.timing import TimingParams
+from ..errors import ConfigError
 from .pipeline_solver import (
     PeriodicMode,
     PipelineSolver,
     SharingLevel,
+    Transaction,
+    replay,
     slot_timing,
+    transaction_commands,
 )
 
 
@@ -189,11 +195,13 @@ def build_fs_schedule(
     """
     if slots_per_domain < 1:
         raise ValueError("slots_per_domain must be >= 1")
-    solver = PipelineSolver(params)
     if mode is None:
-        mode, slot_gap = solver.best(sharing)
-    else:
-        slot_gap = solver.solve(mode, sharing)
+        # The smallest gap, DATA first on ties (PipelineSolver.best).
+        mode = min(
+            PeriodicMode, key=lambda m: _solved_gap(params, m, sharing)
+        )
+    slot_gap = _solved_gap(params, mode, sharing)
+    solver = PipelineSolver(params)
     if sharing is SharingLevel.BANK:
         # The solver only spaces *distinct* slots, which under bank
         # partitioning always hit distinct banks.  A domain's own bank,
@@ -250,9 +258,8 @@ def build_triple_alternation_schedule(
     rotates the domain order by one position per sub-interval, which
     restores full coverage and keeps the adjacency property.
     """
-    solver = PipelineSolver(params)
-    l_bp = solver.solve(PeriodicMode.RAS, SharingLevel.BANK)
-    same_bank_gap = solver.same_bank_min_gap()
+    l_bp = _solved_gap(params, PeriodicMode.RAS, SharingLevel.BANK)
+    same_bank_gap = PipelineSolver(params).same_bank_min_gap()
     if 3 * l_bp < same_bank_gap:
         raise RuntimeError(
             "triple alternation unsafe: three bank-partitioned slots "
@@ -295,6 +302,16 @@ _SCHEDULE_CACHE: Dict[Tuple, FixedServiceSchedule] = {}
 #: Lookup counters, read through :func:`template_cache_stats` (the bench
 #: ledger's ``template_cache_hit_rate``).
 _CACHE_STATS = {"hits": 0, "misses": 0}
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_gap(
+    params: TimingParams, mode: PeriodicMode, sharing: SharingLevel
+) -> int:
+    """Memoized :meth:`PipelineSolver.solve`: the builders of one part
+    ask for the same gaps, and each is a replay search.  Not a
+    timetable, so :func:`template_cache_stats` does not count it."""
+    return PipelineSolver(params).solve(mode, sharing)
 
 
 def _memoized(key: Tuple, build) -> FixedServiceSchedule:
@@ -341,8 +358,10 @@ def template_cache_stats() -> Dict[str, int]:
 
 
 def clear_caches() -> None:
-    """Drop the schedule memo and zero its counters (test isolation)."""
+    """Drop the schedule and gap memos and zero the schedule memo's
+    counters (test isolation)."""
     _SCHEDULE_CACHE.clear()
+    _solved_gap.cache_clear()
     _CACHE_STATS.update(hits=0, misses=0)
 
 
@@ -378,21 +397,33 @@ class ReorderedBpGeometry:
 def build_reordered_bp_geometry(
     params: TimingParams, num_domains: int
 ) -> ReorderedBpGeometry:
-    """Derive the reordered-BP constants from the timing parameters.
+    """The first geometry that passes
+    :func:`validate_reordered_bp_geometry` on ``params``.
 
-    ``data_gap`` must cover the cross-rank bubble (tBURST + tRTRS) and the
-    same-rank tCCD; the tail must cover the worst-case write-to-read
-    turnaround so the next interval's reads are unconstrained.  For the
-    Table-1 part: gap 6, tail 15, Q = 8*6 + 15 = 63 (51% utilization).
-    Nothing here proves the result legal on other parts; see
-    :func:`validate_reordered_bp_geometry`.
+    The search starts from the closed form: ``data_gap`` covers the
+    cross-rank bubble and tCCD, and the tail (the bank-partitioned slot
+    gap) covers the write -> read pair between intervals.  On Table 1
+    that is legal as it stands: gap 6, tail 15, Q = 8*6 + 15 = 63.  Interval lengths Q0 up
+    to 2 * Q0 are tried in turn, each with every gap from the closed
+    form's upward and the rest as tail; nothing legal raises
+    :class:`~repro.errors.ConfigError`.  The ACT stays tRCD before its
+    column, so its placement is not searched.
     """
-    data_gap = max(params.tBURST + params.tRTRS, params.tCCD)
-    # The tail is the bank-partitioned slot gap (15 for Table 1): it makes
-    # the wrap-around write -> read pair between intervals safe.
-    tail = PipelineSolver(params).solve(PeriodicMode.RAS, SharingLevel.BANK)
-    return ReorderedBpGeometry(
-        num_domains=num_domains, data_gap=data_gap, tail=tail
+    min_gap = max(params.tBURST + params.tRTRS, params.tCCD)
+    min_tail = _solved_gap(params, PeriodicMode.RAS, SharingLevel.BANK)
+    shortest = num_domains * min_gap + min_tail
+    for length in range(shortest, 2 * shortest + 1):
+        for data_gap in range(min_gap, (length - 1) // num_domains + 1):
+            geometry = ReorderedBpGeometry(
+                num_domains=num_domains, data_gap=data_gap,
+                tail=length - num_domains * data_gap,
+            )
+            replays = _reordered_bp_replays(params, geometry)
+            if next(replay(params, replays), None) is None:
+                return geometry
+    raise ConfigError(
+        f"no legal reordered-BP geometry for {num_domains} domains with "
+        f"an interval of at most {2 * shortest} cycles on {params}"
     )
 
 
@@ -413,21 +444,16 @@ def reordered_bp_times(
 
 def cached_reordered_bp_geometry(
     params: TimingParams, num_domains: int
-) -> Tuple[ReorderedBpGeometry, bool]:
-    """Memoized :func:`build_reordered_bp_geometry`, with its verdict
-    from :func:`validate_reordered_bp_geometry` (True: legal)."""
-
-    def build() -> Tuple[ReorderedBpGeometry, bool]:
-        geometry = build_reordered_bp_geometry(params, num_domains)
-        return geometry, not validate_reordered_bp_geometry(
-            params, geometry
-        )
-
-    return _memoized(("reordered_bp", params, num_domains), build)
+) -> ReorderedBpGeometry:
+    """Memoized :func:`build_reordered_bp_geometry`."""
+    return _memoized(
+        ("reordered_bp", params, num_domains),
+        lambda: build_reordered_bp_geometry(params, num_domains),
+    )
 
 
 # ----------------------------------------------------------------------
-# Independent validation.
+# Validation: replay through the JEDEC checker.
 # ----------------------------------------------------------------------
 
 
@@ -445,7 +471,6 @@ def schedule_commands(
     its target (defaults: worst-case placement for the schedule's sharing
     level).  Used by the validation tests.
     """
-    params = schedule.params
     cmds: List[Command] = []
     n = schedule.slots_per_interval
     occurrences: Dict[int, int] = {}
@@ -490,19 +515,25 @@ def schedule_commands(
                     bank = slot.bank_mod
                 else:
                     bank = 0
-            col_type = (
-                CommandType.COL_READ_AP if is_read
-                else CommandType.COL_WRITE_AP
-            )
-            cmds.append(
-                Command(CommandType.ACTIVATE, times.act, 0, rank, bank,
-                        row=g, domain=slot.domain)
-            )
-            cmds.append(
-                Command(col_type, times.col, 0, rank, bank, row=g,
-                        domain=slot.domain)
-            )
+            cmds.extend(transaction_commands(
+                times.act, times.col, rank, bank, is_read,
+                row=g, domain=slot.domain,
+            ))
     return cmds
+
+
+def validation_patterns(slots: int) -> List[List[bool]]:
+    """Worst-case read/write patterns for a timetable of ``slots`` slots
+    per interval: all reads, all writes, both alternations, and one write
+    in an otherwise read stream at each of the first eight positions."""
+    return [
+        [True] * slots,
+        [False] * slots,
+        [bool(i % 2) for i in range(slots)],
+        [not bool(i % 2) for i in range(slots)],
+    ] + [
+        [i != j for i in range(slots)] for j in range(min(slots, 8))
+    ]
 
 
 def validate_schedule(
@@ -510,19 +541,11 @@ def validate_schedule(
     intervals: int = 3,
     patterns: Optional[Sequence[Sequence[bool]]] = None,
 ) -> List[Violation]:
-    """Replay worst-case expansions of a schedule through the independent
-    JEDEC checker; an empty result certifies the timetable."""
-    n = schedule.slots_per_interval
+    """Replay worst-case expansions of a schedule through the JEDEC
+    checker (by default, every :func:`validation_patterns` pattern); an
+    empty result certifies the timetable."""
     if patterns is None:
-        patterns = [
-            [True] * n,
-            [False] * n,
-            [bool(i % 2) for i in range(n)],
-            [not bool(i % 2) for i in range(n)],
-            # One write in an otherwise read stream, at every position.
-        ] + [
-            [i != j for i in range(n)] for j in range(min(n, 8))
-        ]
+        patterns = validation_patterns(schedule.slots_per_interval)
     checker = TimingChecker(schedule.params)
     violations: List[Violation] = []
     for pattern in patterns:
@@ -535,9 +558,9 @@ def validate_schedule(
 def validate_reordered_bp_geometry(
     params: TimingParams, geometry: ReorderedBpGeometry
 ) -> List[Violation]:
-    """Replay two consecutive reordered-BP intervals through the
-    independent JEDEC checker, for every pair of read counts; an empty
-    result certifies the geometry on ``params``.
+    """Replay two consecutive reordered-BP intervals through the JEDEC
+    checker, for every pair of read counts; an empty result certifies
+    the geometry on ``params``.
 
     Interval ``i`` serves ``reads_i`` reads and then writes, one per
     domain, at the controller's data pitch.  Every transaction gets its
@@ -547,13 +570,19 @@ def validate_reordered_bp_geometry(
     alternating ranks, where tRTRS separates every pair of neighbouring
     bursts.
     """
+    return list(replay(params, _reordered_bp_replays(params, geometry)))
+
+
+def _reordered_bp_replays(
+    params: TimingParams, geometry: ReorderedBpGeometry
+) -> Iterator[List[Transaction]]:
+    """The transactions of each replay
+    :func:`validate_reordered_bp_geometry` makes."""
     n = geometry.num_domains
     lead = reordered_bp_lead(params)
-    checker = TimingChecker(params)
-    violations: List[Violation] = []
     for alternate in (False, True):
         for reads in itertools.product(range(n + 1), repeat=2):
-            commands: List[Command] = []
+            transactions: List[Transaction] = []
             for interval, read_count in enumerate(reads):
                 start = lead + interval * geometry.interval_length
                 for position in range(n):
@@ -563,14 +592,8 @@ def validate_reordered_bp_geometry(
                         params, start + geometry.data_offset(position),
                         is_read,
                     )
-                    rank = k % 2 if alternate else 0
-                    commands.append(Command(
-                        CommandType.ACTIVATE, times.act, 0, rank, k, row=k,
+                    transactions.append((
+                        times.act, times.col, k % 2 if alternate else 0, k,
+                        is_read,
                     ))
-                    commands.append(Command(
-                        CommandType.COL_READ_AP if is_read
-                        else CommandType.COL_WRITE_AP,
-                        times.col, 0, rank, k, row=k,
-                    ))
-            violations.extend(checker.check(commands))
-    return violations
+            yield transactions

@@ -15,10 +15,11 @@ were proved offline.  This module exploits that determinism:
   controllers bound the next possible new release in closed form
   (``release_horizon``), so the driver strides over dummy-slot
   decisions too.
-* trusted issue — the FS command stream was validated offline (pipeline
-  solver + :func:`repro.core.schedule.validate_schedule`; reordered BP
-  per part, see :func:`repro.core.schedule.validate_reordered_bp_geometry`),
-  so the fast FS controllers set ``trusted_issue`` and skip the
+* trusted issue — the FS command stream was validated offline: the
+  pipeline solver and the reordered-BP geometry search
+  (:func:`repro.core.schedule.build_reordered_bp_geometry`) accept only
+  candidates that replay cleanly through the JEDEC checker, so the fast
+  FS controllers set ``trusted_issue`` and skip the
   per-command JEDEC re-validation and bus-reservation bookkeeping while
   keeping every observable state update bit-identical.  With a command
   log, monitor or telemetry session attached they apply each command

@@ -59,6 +59,10 @@ class TestCommands:
         assert main(["covert", "fs_rp", "--accesses", "80"]) == 0
         assert "bit error rate" in capsys.readouterr().out
 
+    def test_covert_baseline_fails(self, capsys):
+        assert main(["covert", "baseline"]) == 1
+        assert "latency swing 0.0 cycles" not in capsys.readouterr().out
+
     def test_run_monitor_prints_exact_total(self, capsys, monkeypatch):
         """The status line counts every violation, not just the ones
         the monitor keeps (``max_recorded``)."""

@@ -8,9 +8,25 @@ from repro.core.pipeline_solver import (
     GroupedPipelineSolver,
     PeriodicMode,
 )
+from repro.dram import timing
 from repro.dram.timing import DDR3_1600_X4
 
 P = DDR3_1600_X4
+
+#: Cheapest (intra_gap, inter_gap) per (preset, mode), the same at every
+#: group size from 2 to 5; computed with hand-kept pairwise rules that
+#: share no code with the timing checker the solver now replays through.
+KNOWN_GROUPS = {
+    ("DDR3_1600_X4", "data"): (21, 7),
+    ("DDR3_1600_X4", "ras"): (15, 12),
+    ("DDR3_1600_X4", "cas"): (15, 12),
+    ("DDR3_1066", "data"): (16, 7),
+    ("DDR3_1066", "ras"): (14, 9),
+    ("DDR3_1066", "cas"): (14, 9),
+    ("DDR4_2400", "data"): (29, 6),
+    ("DDR4_2400", "ras"): (25, 10),
+    ("DDR4_2400", "cas"): (25, 10),
+}
 
 
 @pytest.fixture
@@ -72,3 +88,13 @@ class TestGroupedChecker:
     def test_unsolvable_raises(self, solver):
         with pytest.raises(RuntimeError):
             solver.solve(PeriodicMode.DATA, 2, max_gap=5)
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("group_size", [2, 3, 4, 5])
+    @pytest.mark.parametrize("preset, mode", sorted(KNOWN_GROUPS))
+    def test_solve(self, preset, mode, group_size):
+        intra, inter = KNOWN_GROUPS[(preset, mode)]
+        solver = GroupedPipelineSolver(getattr(timing, preset))
+        assert solver.solve(PeriodicMode(mode), group_size) == \
+            GroupedPipeline(group_size, intra, inter)

@@ -14,9 +14,25 @@ from repro.core.pipeline_solver import (
     paper_solutions,
     slot_timing,
 )
+from repro.dram import timing
 from repro.dram.timing import DDR3_1600_X4, TimingParams
 
 P = DDR3_1600_X4
+
+#: Minimal slot gaps (DATA, RAS, CAS) per (preset, sharing level);
+#: computed with hand-kept pairwise rules that share no code with the
+#: timing checker the solver now replays through.
+KNOWN_GAPS = {
+    ("DDR3_1600_X4", "rank"): (7, 12, 12),
+    ("DDR3_1600_X4", "bank"): (21, 15, 15),
+    ("DDR3_1600_X4", "none"): (49, 43, 43),
+    ("DDR3_1066", "rank"): (7, 9, 9),
+    ("DDR3_1066", "bank"): (16, 14, 14),
+    ("DDR3_1066", "none"): (36, 34, 34),
+    ("DDR4_2400", "rank"): (7, 10, 10),
+    ("DDR4_2400", "bank"): (29, 25, 25),
+    ("DDR4_2400", "none"): (70, 66, 66),
+}
 
 
 @pytest.fixture
@@ -95,6 +111,34 @@ class TestRejectedGaps:
             assert solver.check(
                 l, PeriodicMode.RAS, SharingLevel.NONE
             ) is None
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("mode", list(PeriodicMode), ids=str)
+    @pytest.mark.parametrize("preset, sharing", sorted(KNOWN_GAPS))
+    def test_solve(self, preset, sharing, mode):
+        solver = PipelineSolver(getattr(timing, preset))
+        gaps = KNOWN_GAPS[(preset, sharing)]
+        expected = gaps[list(PeriodicMode).index(mode)]
+        assert solver.solve(mode, SharingLevel(sharing)) == expected
+
+    @pytest.mark.parametrize(
+        "preset", ["DDR3_1600_X4", "DDR3_1066", "DDR4_2400"]
+    )
+    def test_best_and_solve_all(self, preset):
+        solver = PipelineSolver(getattr(timing, preset))
+        assert solver.solve_all() == {
+            (sharing.value, mode.value):
+                KNOWN_GAPS[(preset, sharing.value)][i]
+            for sharing in SharingLevel
+            for i, mode in enumerate(PeriodicMode)
+        }
+        for sharing in SharingLevel:
+            gaps = KNOWN_GAPS[(preset, sharing.value)]
+            best = min(gaps)
+            assert solver.best(sharing) == (
+                list(PeriodicMode)[gaps.index(best)], best
+            )
 
 
 class TestSlotTiming:

@@ -158,3 +158,13 @@ class TestCovertChannel:
         result = run_covert_channel("baseline", self.BITS, config=CFG)
         assert len(result.window_means) == len(self.BITS)
         assert len(result.decoded_bits) == len(self.BITS)
+
+    @pytest.mark.parametrize("scheme", ["fs_bp", "fs_np", "fs_np_ta", "tp_bp"])
+    def test_own_latency_ramp_is_not_signal(self, scheme):
+        """On these schemes the receiver's own latency moves whether or
+        not the sender sends (on the FS ones its probes outrun its slot
+        rate); measured against a silent sender, the signal is flat."""
+        result = run_covert_channel(scheme, self.BITS, config=CFG)
+        assert result.window_means == (0.0,) * len(self.BITS)
+        assert result.decoded_bits == (0,) * len(self.BITS)
+        assert result.signal_swing == 0.0
