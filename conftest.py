@@ -15,12 +15,21 @@ pytest options:
 ``--regen-golden``
     Regenerate the golden-trace fixtures under ``tests/golden/`` instead
     of comparing against them (see ``tests/test_golden_traces.py``).
+
+``--hypothesis-profile=per-domain-wide``
+    Run ``tests/test_per_domain_driver.py``'s property test on a larger,
+    random example budget instead of its small derandomized one.
 """
 
 import os
 import sys
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile(
+    "per-domain-wide", max_examples=150, derandomize=False, deadline=None,
+)
 
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:

@@ -54,6 +54,12 @@ def victim_view(
     ``engine`` selects the simulator (reference cycle-stepper or the
     differentially-verified fast path); the certification harness runs
     both and demands identical verdicts.
+
+    The run is always lockstep, every domain in one global loop (see
+    :meth:`repro.sim.system.System.run`): leakage is measured here, and
+    a driver that runs each domain against its own slots computes the
+    victim's view from its own domain alone, so a controller that read
+    another domain's state would look clean.
     """
     config = config or SystemConfig()
     specs = [victim] + [co_runner] * (config.num_cores - 1)
@@ -67,7 +73,7 @@ def victim_view(
         original(request, mem_cycle)
 
     victim_core.on_complete = recording_on_complete
-    result = system.run(max_cycles=max_cycles)
+    result = system.run(max_cycles=max_cycles, lockstep=True)
     if profile_block is None:
         # ~25 milestones over the victim's instruction count (the paper's
         # Figure 4 plots 10k-instruction blocks over a far longer run).

@@ -256,15 +256,19 @@ class FsControllerBase(MemoryController):
             candidates.append(self._release_heap[0][0])
         return max(self.now + 1, min(candidates))
 
-    def _choose_path(self) -> Optional[list]:
-        """Settle in closed form exactly when the commands are trusted
-        and nothing observes them one by one: no command log, online
-        monitor or telemetry session.  A span tracer never counts — it
-        belongs to the driver and never reaches the controller."""
-        closed = self.trusted_issue and not self.log_commands and (
+    def settles_in_closed_form(self) -> bool:
+        """Whether the commands are trusted and nothing observes them
+        one by one: no command log, online monitor or telemetry session.
+        A span tracer never counts — it belongs to the driver and never
+        reaches the controller."""
+        return self.trusted_issue and not self.log_commands and (
             self.monitor is None and self.telemetry is None
         )
-        self._ledger = [] if closed else None
+
+    def _choose_path(self) -> Optional[list]:
+        """Settle in closed form exactly when
+        :meth:`settles_in_closed_form` holds."""
+        self._ledger = [] if self.settles_in_closed_form() else None
         return self._ledger
 
     def _stage_ahead(self, until: int) -> None:
@@ -307,9 +311,20 @@ class FsControllerBase(MemoryController):
         self._next_decision, self._next_pos, self._next_offset = (
             g, pos, offset
         )
-        stage_ahead(until)
+        self.settle_until(until)
+
+    def settle_until(self, until: int) -> None:
+        """Close the closed form up to ``until`` once every decision at
+        or before it is taken: stage what the timetable fixes ahead,
+        fold the ledger records ``until`` has passed (no later decision
+        puts a command at or before it) and count the duplicated ACTs
+        it has passed as squashed."""
+        self._stage_ahead(until)
+        ledger = self._ledger
         if ledger:
-            settle(ledger, until)
+            self.dram.channels[self.channel_id].settle_trusted(
+                ledger, until
+            )
         if self._duplicate_acts:
             # A legal FS stream has one command per bus cycle, so a
             # duplicated ACT pops right after its original and the

@@ -346,9 +346,18 @@ class GroupedPipelineSolver:
     def solve(
         self, mode: PeriodicMode, group_size: int, max_gap: int = 64
     ) -> GroupedPipeline:
-        """Cheapest feasible (intra, inter) pair for a group size."""
+        """Cheapest feasible (intra, inter) pair for a group size.
+
+        An intra gap is skipped whole when its first intra-group pair
+        fails: a one-group check of a group of two replays that pair
+        alone, and every full :meth:`check` replays it too, whatever the
+        inter gap."""
         best: Optional[GroupedPipeline] = None
         for intra in range(self.params.tBURST, max_gap + 1):
+            if group_size >= 2 and not self.check(
+                mode, 2, intra, 1, horizon_groups=1
+            ):
+                continue
             for inter in range(
                 self.params.tBURST + self.params.tRTRS, max_gap + 1
             ):

@@ -14,7 +14,10 @@ were proved offline.  This module exploits that determinism:
   controller event, with batched stat accumulation per stride.  FS
   controllers bound the next possible new release in closed form
   (``release_horizon``), so the driver strides over dummy-slot
-  decisions too.
+  decisions too.  An unobserved Fixed Service run needs no global loop
+  at all: each domain's decisions read only its own state, so the
+  driver runs each core against its own domain's slots and merges
+  (:mod:`repro.sim.perdomain`).
 * trusted issue — the FS command stream was validated offline: the
   pipeline solver and the reordered-BP geometry search
   (:func:`repro.core.schedule.build_reordered_bp_geometry`) accept only
@@ -55,6 +58,10 @@ identical*, not approximately so):
    emissions arrive no earlier than their release cycle; back-pressured
    deliveries degrade to reference-granularity stepping.  Requests are
    therefore enqueued at exactly the reference cycles.
+4. **Per-domain independence.**  A Fixed Service domain's decisions read
+   only its own state and the clock, so a per-domain run that takes each
+   domain's deliveries, decisions and releases in the stride loop's
+   cycle order reproduces it (``tests/test_per_domain_driver.py``).
 
 Any divergence between the two engines is either a fast-path bug or a
 timing channel — which is exactly what ``tests/test_differential.py``
@@ -77,7 +84,7 @@ from ..core.fs_reordered import ReorderedBpController
 from ..core.schedule import template_cache_stats
 from ..cpu.core_model import Core
 from ..dram.commands import Command, CommandType, Request, RequestKind
-from ..errors import SimTimeoutError
+from . import perdomain
 from .multichannel import MultiChannelFsController
 from .system import RunResult, System
 
@@ -580,6 +587,13 @@ class FastSystem(System):
     releases (a completion may unblock a core whose next emission bounds
     the following stride).  Statistics accumulate in the same batched
     ``_work`` calls, so every counter matches the reference bit-for-bit.
+
+    An unobserved ``FixedServiceController`` run (the closed form, and
+    no plan arming ``borrow_foreign_slot``) skips the stride loop: it
+    runs each core against its own domain's slots
+    (:mod:`repro.sim.perdomain`).
+    Reordered BP, multi-channel FS, observed runs, the dynamic
+    schedulers and ``run(lockstep=True)`` keep the stride loop.
     """
 
     engine_name = "fast"
@@ -589,19 +603,37 @@ class FastSystem(System):
         max_cycles: int = 10_000_000,
         target_reads: Optional[int] = None,
         wall_budget_s: Optional[float] = None,
+        *,
+        lockstep: bool = False,
     ) -> RunResult:
         if target_reads is not None:
             # The read-count cutoff samples the clock mid-stride; keep
             # the reference granularity for it.
             return super().run(max_cycles, target_reads, wall_budget_s)
-        controller = self.controller
-        clock = 0
         tracer = self.tracer
         wall_start = time.monotonic() if tracer is not None else None
         deadline = (
             time.monotonic() + wall_budget_s
             if wall_budget_s is not None else None
         )
+        if lockstep or not perdomain.ready(self):
+            clock = self._strides(max_cycles, deadline, wall_budget_s)
+        else:
+            clock = perdomain.run(self, max_cycles, deadline,
+                                  wall_budget_s)
+        self.controller.finalize()
+        if tracer is not None:
+            tracer.record_engine_run(
+                self.scheme, self.engine_name, clock,
+                wall_seconds=time.monotonic() - wall_start,
+            )
+        return self._collect(clock)
+
+    def _strides(self, max_cycles: int, deadline: Optional[float],
+                 wall_budget_s: Optional[float]) -> int:
+        """The lockstep stride loop; returns the final clock."""
+        controller = self.controller
+        clock = 0
         # The stride loop runs once per demand event, so its constant
         # factor is the engine's overhead floor: hoist every bound
         # method, track core completion incrementally (``done`` can
@@ -627,11 +659,7 @@ class FastSystem(System):
         monotonic = time.monotonic
         while True:
             if deadline is not None and monotonic() > deadline:
-                raise SimTimeoutError(
-                    f"wall-clock budget of {wall_budget_s}s exceeded "
-                    f"at cycle {clock} (scheme {self.scheme})",
-                    cycle=clock,
-                )
+                raise self._timed_out(wall_budget_s, clock)
             if not not_done:
                 break
             if clock >= max_cycles:
@@ -705,10 +733,4 @@ class FastSystem(System):
                     pump(i)
                     if cores[i].done:
                         not_done.discard(i)
-        controller.finalize()
-        if tracer is not None:
-            tracer.record_engine_run(
-                self.scheme, self.engine_name, clock,
-                wall_seconds=time.monotonic() - wall_start,
-            )
-        return self._collect(clock)
+        return clock

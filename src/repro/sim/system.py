@@ -126,6 +126,8 @@ class System:
         max_cycles: int = 10_000_000,
         target_reads: Optional[int] = None,
         wall_budget_s: Optional[float] = None,
+        *,
+        lockstep: bool = False,
     ) -> RunResult:
         """Simulate until every core finishes (or a bound is hit).
 
@@ -133,7 +135,13 @@ class System:
         is exceeded a :class:`~repro.errors.SimTimeoutError` is raised so
         a sweep can record the cell as failed and keep going instead of
         hanging the whole grid on one pathological point.
+
+        ``lockstep`` asks for one loop that advances every domain in
+        global time order.  This loop always does; the fast driver may
+        otherwise run an unobserved Fixed Service system one domain at a
+        time (see :class:`repro.sim.fastpath.FastSystem`).
         """
+        del lockstep  # always lockstep
         controller = self.controller
         clock = 0
         reads_done = 0
@@ -150,11 +158,7 @@ class System:
             if deadline is not None and iterations % 256 == 0 and (
                 time.monotonic() > deadline
             ):
-                raise SimTimeoutError(
-                    f"wall-clock budget of {wall_budget_s}s exceeded "
-                    f"at cycle {clock} (scheme {self.scheme})",
-                    cycle=clock,
-                )
+                raise self._timed_out(wall_budget_s, clock)
             iterations += 1
             if all(core.done for core in self.cores):
                 break
@@ -202,6 +206,14 @@ class System:
         return self._collect(clock)
 
     # ------------------------------------------------------------------
+
+    def _timed_out(self, wall_budget_s: float,
+                   clock: int) -> SimTimeoutError:
+        return SimTimeoutError(
+            f"wall-clock budget of {wall_budget_s}s exceeded "
+            f"at cycle {clock} (scheme {self.scheme})",
+            cycle=clock,
+        )
 
     def _collect(self, clock: int) -> RunResult:
         core_results = []
