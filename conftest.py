@@ -16,9 +16,10 @@ pytest options:
     Regenerate the golden-trace fixtures under ``tests/golden/`` instead
     of comparing against them (see ``tests/test_golden_traces.py``).
 
-``--hypothesis-profile=per-domain-wide``
-    Run ``tests/test_per_domain_driver.py``'s property test on a larger,
-    random example budget instead of its small derandomized one.
+``--hypothesis-profile=wide``
+    Run the property tests of ``tests/test_per_domain_driver.py`` and
+    ``tests/test_victim_stop.py`` on a larger, random example budget
+    instead of their small derandomized one.
 """
 
 import os
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import settings
 
 settings.register_profile(
-    "per-domain-wide", max_examples=150, derandomize=False, deadline=None,
+    "wide", max_examples=150, derandomize=False, deadline=None,
 )
 
 _SRC = os.path.join(os.path.dirname(__file__), "src")

@@ -60,6 +60,11 @@ def victim_view(
     a driver that runs each domain against its own slots computes the
     victim's view from its own domain alone, so a controller that read
     another domain's state would look clean.
+
+    The run ends at the victim's last retirement (``victim=0``), not
+    at the slowest co-runner's: once domain 0 is done and the clock
+    has reached its finish cycle, nothing later can move its release
+    cycles, its profile or its IPC, so the view is the full run's.
     """
     config = config or SystemConfig()
     specs = [victim] + [co_runner] * (config.num_cores - 1)
@@ -73,7 +78,7 @@ def victim_view(
         original(request, mem_cycle)
 
     victim_core.on_complete = recording_on_complete
-    result = system.run(max_cycles=max_cycles, lockstep=True)
+    result = system.run(max_cycles=max_cycles, lockstep=True, victim=0)
     if profile_block is None:
         # ~25 milestones over the victim's instruction count (the paper's
         # Figure 4 plots 10k-instruction blocks over a far longer run).

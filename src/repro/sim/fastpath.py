@@ -594,6 +594,8 @@ class FastSystem(System):
     (:mod:`repro.sim.perdomain`).
     Reordered BP, multi-channel FS, observed runs, the dynamic
     schedulers and ``run(lockstep=True)`` keep the stride loop.
+    ``victim`` ends the stride loop as it ends the reference loop; it
+    does not choose the loop, and the per-domain driver ignores it.
     """
 
     engine_name = "fast"
@@ -605,11 +607,14 @@ class FastSystem(System):
         wall_budget_s: Optional[float] = None,
         *,
         lockstep: bool = False,
+        victim: Optional[int] = None,
     ) -> RunResult:
         if target_reads is not None:
             # The read-count cutoff samples the clock mid-stride; keep
             # the reference granularity for it.
-            return super().run(max_cycles, target_reads, wall_budget_s)
+            return super().run(max_cycles, target_reads, wall_budget_s,
+                               victim=victim)
+        self._victim_core(victim)
         tracer = self.tracer
         wall_start = time.monotonic() if tracer is not None else None
         deadline = (
@@ -617,7 +622,8 @@ class FastSystem(System):
             if wall_budget_s is not None else None
         )
         if lockstep or not perdomain.ready(self):
-            clock = self._strides(max_cycles, deadline, wall_budget_s)
+            clock = self._strides(max_cycles, deadline, wall_budget_s,
+                                  victim)
         else:
             clock = perdomain.run(self, max_cycles, deadline,
                                   wall_budget_s)
@@ -630,7 +636,8 @@ class FastSystem(System):
         return self._collect(clock)
 
     def _strides(self, max_cycles: int, deadline: Optional[float],
-                 wall_budget_s: Optional[float]) -> int:
+                 wall_budget_s: Optional[float],
+                 victim: Optional[int]) -> int:
         """The lockstep stride loop; returns the final clock."""
         controller = self.controller
         clock = 0
@@ -647,6 +654,12 @@ class FastSystem(System):
         for i in range(len(cores)):
             pump(i)
         not_done = {i for i, core in enumerate(cores) if not core.done}
+        # The loop ends once the clock reaches ``stop``: ``max_cycles``,
+        # lowered to the victim's finish when its ``done`` flips, so the
+        # victim rule costs no comparison of its own per stride.
+        stop = max_cycles
+        if victim is not None and victim not in not_done:
+            stop = min(stop, cores[victim].finish_mem_cycle())
         blocked = False
         horizon_fn = getattr(controller, "release_horizon", None)
         drain_fn = controller.drain_deadline
@@ -662,7 +675,7 @@ class FastSystem(System):
                 raise self._timed_out(wall_budget_s, clock)
             if not not_done:
                 break
-            if clock >= max_cycles:
+            if clock >= stop:
                 break
             tmin = None
             for r in staged:
@@ -717,6 +730,8 @@ class FastSystem(System):
                     pump(i)
                     if cores[i].done:
                         not_done.discard(i)
+                        if i == victim:
+                            stop = min(stop, cores[i].finish_mem_cycle())
                     delivered = True
             blocked = False
             for r in staged:
@@ -733,4 +748,6 @@ class FastSystem(System):
                     pump(i)
                     if cores[i].done:
                         not_done.discard(i)
+                        if i == victim:
+                            stop = min(stop, cores[i].finish_mem_cycle())
         return clock

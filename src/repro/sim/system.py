@@ -128,6 +128,7 @@ class System:
         wall_budget_s: Optional[float] = None,
         *,
         lockstep: bool = False,
+        victim: Optional[int] = None,
     ) -> RunResult:
         """Simulate until every core finishes (or a bound is hit).
 
@@ -140,8 +141,19 @@ class System:
         global time order.  This loop always does; the fast driver may
         otherwise run an unobserved Fixed Service system one domain at a
         time (see :class:`repro.sim.fastpath.FastSystem`).
+
+        ``victim`` names the one core whose view the caller reads: the
+        run also ends at the first stop where core ``victim`` is done
+        and the clock has reached its
+        :meth:`~repro.cpu.core_model.Core.finish_mem_cycle`.  From
+        there on nothing can move that core's completions, retirement
+        checkpoints or IPC, so only core ``victim``'s ``CoreResult`` and
+        completions are the full run's; the cycle count, the other
+        cores' results, the stats and the energy are the shorter run's.
+        An index outside the cores raises ``ValueError``.
         """
         del lockstep  # always lockstep
+        victim_core = self._victim_core(victim)
         controller = self.controller
         clock = 0
         reads_done = 0
@@ -165,6 +177,10 @@ class System:
             if target_reads is not None and reads_done >= target_reads:
                 break
             if clock >= max_cycles:
+                break
+            if victim_core is not None and victim_core.done and (
+                clock >= victim_core.finish_mem_cycle()
+            ):
                 break
             arrivals = [
                 r.arrival for r in self._staged if r is not None
@@ -206,6 +222,17 @@ class System:
         return self._collect(clock)
 
     # ------------------------------------------------------------------
+
+    def _victim_core(self, victim: Optional[int]) -> Optional[Core]:
+        """The core ``run(victim=...)`` names, checked (None for None)."""
+        if victim is None:
+            return None
+        if not 0 <= victim < len(self.cores):
+            raise ValueError(
+                f"victim {victim} is not a core index "
+                f"(0..{len(self.cores) - 1})"
+            )
+        return self.cores[victim]
 
     def _timed_out(self, wall_budget_s: float,
                    clock: int) -> SimTimeoutError:

@@ -18,8 +18,8 @@ loop: a controller whose dummy choice reads another domain's queue
 leaks under lockstep, and certifies clean when the attacker's domain
 runs on its own.
 
-``conftest.py`` registers the ``per-domain-wide`` hypothesis profile;
-``--hypothesis-profile=per-domain-wide`` runs the property test on a
+``conftest.py`` registers the ``wide`` hypothesis profile;
+``--hypothesis-profile=wide`` runs the property test on a
 larger, random budget instead of tier-1's small derandomized one.
 """
 
@@ -45,7 +45,7 @@ from repro.workloads.spec import MIXES, SPEC2K6, suite_specs
 from .engine_equivalence import MAX_CYCLES, dram_counters
 from .leaky_scheme import LEAKY_DUMMY_SPEC
 
-_WIDE = settings.get_profile("per-domain-wide")
+_WIDE = settings.get_profile("wide")
 #: Tier-1 runs a small derandomized budget; CI's second pass loads the
 #: wider random profile.
 BUDGET = settings.default if settings.default is _WIDE else settings(
