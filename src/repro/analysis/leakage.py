@@ -21,13 +21,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.config import SystemConfig
 from ..sim.runner import SchemeOptions, build_system
-from ..sim.system import RunResult
+from ..sim.system import StopRun
 from ..workloads.synthetic import WorkloadSpec, idle_spec, intense_spec
 
 
 @dataclass(frozen=True)
 class VictimView:
-    """Everything the victim (domain 0) can observe about its own run."""
+    """Everything the victim (domain 0) can observe about its own run.
+
+    A view taken against a reference view may be *stopped*
+    (``stopped_at`` is set): its run ended at the first read whose
+    release differs from the reference's, so its profile, releases and
+    IPC cover only the run up to that read.  It is then known to differ
+    from the reference, and nothing more.
+    """
 
     scheme: str
     co_runner: str
@@ -35,7 +42,12 @@ class VictimView:
     profile: Tuple[Tuple[int, int], ...]
     #: Release cycle of every demand read, in arrival order.
     read_releases: Tuple[int, ...]
+    #: Over the victim's own execution: up to its last retirement once
+    #: it has finished, else up to the run's last cycle.
     ipc: float
+    #: Release cycle at which a run against a reference stopped; None
+    #: for a full view.
+    stopped_at: Optional[int] = None
 
 
 def victim_view(
@@ -47,6 +59,7 @@ def victim_view(
     max_cycles: int = 10_000_000,
     profile_block: Optional[int] = None,
     engine: str = "reference",
+    reference: Optional[VictimView] = None,
 ) -> VictimView:
     """Run ``victim`` on domain 0 with ``co_runner`` on all other domains
     and capture the victim-visible timing.
@@ -64,18 +77,42 @@ def victim_view(
     The run ends at the victim's last retirement (``victim=0``), not
     at the slowest co-runner's: once domain 0 is done and the clock
     has reached its finish cycle, nothing later can move its release
-    cycles, its profile or its IPC, so the view is the full run's.
+    cycles, its profile or its IPC, so the view is the full run's.  The
+    IPC is measured at the victim's own last retirement, so it does not
+    depend on when the co-runners finish.
+
+    With a full ``reference`` view (the same victim, config and seed
+    against another co-runner), the run also ends at the first read
+    whose release differs from the reference's release at the same
+    index, or that the reference does not have.  Its view differs from
+    the reference's whatever the rest of the run does, so it is
+    returned stopped (``stopped_at`` set) as soon as that is known.  A
+    run that matches every reference release runs to its end and
+    returns a full view, whose profile may still differ.  A stopped
+    view cannot serve as a reference (``ValueError``).  Only the
+    certification harness passes one.
     """
+    if reference is not None and reference.stopped_at is not None:
+        raise ValueError("a stopped view cannot serve as a reference")
     config = config or SystemConfig()
     specs = [victim] + [co_runner] * (config.num_cores - 1)
     system = build_system(scheme, config, specs, options, engine=engine)
     releases: List[int] = []
     victim_core = system.cores[0]
     original = victim_core.on_complete
+    expected = reference.read_releases if reference is not None else None
+    stopped_at: Optional[int] = None
 
     def recording_on_complete(request, mem_cycle):
+        nonlocal stopped_at
+        index = len(releases)
         releases.append(mem_cycle)
         original(request, mem_cycle)
+        if expected is not None and (
+            index >= len(expected) or expected[index] != mem_cycle
+        ):
+            stopped_at = mem_cycle
+            raise StopRun(mem_cycle)
 
     victim_core.on_complete = recording_on_complete
     result = system.run(max_cycles=max_cycles, lockstep=True, victim=0)
@@ -83,12 +120,14 @@ def victim_view(
         # ~25 milestones over the victim's instruction count (the paper's
         # Figure 4 plots 10k-instruction blocks over a far longer run).
         profile_block = max(100, victim_core.trace.instructions // 25)
+    finish = victim_core.finish_mem_cycle()
     return VictimView(
         scheme=scheme,
         co_runner=co_runner.name,
         profile=tuple(victim_core.completion_profile(profile_block)),
         read_releases=tuple(releases),
-        ipc=result.cores[0].ipc,
+        ipc=victim_core.ipc(result.cycles if finish is None else finish),
+        stopped_at=stopped_at,
     )
 
 

@@ -19,7 +19,9 @@ numbers, each with a precise (and precisely limited) meaning:
   upper quantile of the corrected estimate.  The certificate's headline
   number — the one compared against epsilon — is the *maximum* of the
   point estimate and that quantile, so sampling luck can only make
-  certification harder, never easier.
+  certification harder, never easier.  When the secret or the
+  observation alphabet is a singleton (every exact certificate), each
+  resample is exactly 0.0, so the resampling is skipped.
 * **channel capacity** — :func:`binary_channel_capacity` treats the
   empirical conditionals ``P(o | s)`` as a channel matrix and maximizes
   MI over the input prior (the secret is attacker-chosen, so a uniform
@@ -96,11 +98,17 @@ def bootstrap_upper_bound(
     ``quantile`` of the corrected estimates, and returns the max of that
     and the point estimate — the bound can tighten the verdict, never
     loosen it.  Deterministic for a given ``seed``.
+
+    A resample draws from the samples' own alphabets, so when either
+    is a singleton its plug-in MI is ``H(S) + H(O) - H(S, O)`` with one
+    entropy 0 and the other two the same sum in the same order: exactly
+    0.0, with a zero Miller-Madow term.  The point estimate is then
+    returned at once.
     """
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must be in (0, 1)")
     point = corrected_mi_bits(samples)
-    if len(samples) < 2 or resamples < 1:
+    if len(samples) < 2 or resamples < 1 or 1 in support_sizes(samples):
         return point
     rng = random.Random(seed)
     pool = list(samples)

@@ -178,6 +178,17 @@ def two_world_samples(
 
     ``raw`` holds ``(trial, secret, observation)`` triples; ``exact`` is
     True when every trial's two observations matched bit-for-bit.
+
+    World 0 runs in full; world 1 runs against it as a reference and
+    stops at its first read whose release differs from world 0's (see
+    :func:`~repro.analysis.leakage.victim_view`).  A stopped world's
+    observation already differs from world 0's, so the within-trial
+    ids of :func:`~repro.certify.estimators.canonicalize_by_trial`, and
+    every verdict field built on them, are those of the full worlds.
+    A world that matches every release runs to its end and is compared
+    in full.  A stopped world no longer raises an error it would have
+    met after the stop; its trial already fails to match.
+
     With a :class:`~repro.telemetry.spans.SpanTracer`, each trial is
     wrapped in a span and the driver records its run/phase/epoch spans
     beneath it; the tracer never reaches the controller, so traced
@@ -204,6 +215,7 @@ def two_world_samples(
                 scheme, strategy.attacker, co_runner,
                 config=trial_config, options=options,
                 max_cycles=max_cycles, engine=engine,
+                reference=views[0] if views else None,
             )
             views.append(view)
             raw.append((trial, secret, _observation(view)))

@@ -38,13 +38,20 @@ result (it then adopts no spans for that job).
 ``STORE_SCHEMA_VERSION`` is folded into every hash as a salt, so bumping
 it orphans (rather than misreads) every existing entry when the wire
 format of job results changes.
+
+So is :func:`source_digest`, one hash of the ``repro`` package's
+sources: a result computed by other code is never reused, and an edit
+to a controller or the DRAM model makes every warm store entry and
+every checkpointed job miss instead of replaying the old code's result.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
+import pathlib
 from typing import Callable, Tuple, Union
 
 from .jobs import SPANS_KEY
@@ -123,20 +130,38 @@ def canonicalize(value: object) -> Canonical:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every ``*.py`` file of the ``repro`` package: each
+    file's path relative to the package, its length and its bytes, in
+    sorted path order.  Computed once per process."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for relative, path in sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    ):
+        source = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (relative.encode(), len(source)))
+        digest.update(source)
+    return digest.hexdigest()
+
+
 def content_key(fn: Callable, payload: object) -> str:
     """The SHA-256 content hash keying one job.
 
-    Hashes ``(salt, schema version, worker identity, canonical payload)``
-    so every semantic input — including the worker function and the store
-    schema version — is covered; a dict payload's :data:`SPANS_KEY`
-    entry is not.  Raises :class:`UncacheableValue` when the payload
-    cannot be canonicalised.
+    Hashes ``(salt, schema version, source digest, worker identity,
+    canonical payload)`` so every semantic input — including the worker
+    function, the code it runs and the store schema version — is
+    covered; a dict payload's :data:`SPANS_KEY` entry is not.  Raises
+    :class:`UncacheableValue` when the payload cannot be canonicalised.
     """
     if isinstance(payload, dict) and SPANS_KEY in payload:
         payload = {k: v for k, v in payload.items() if k != SPANS_KEY}
     structure = (
         "repro-store",
         STORE_SCHEMA_VERSION,
+        source_digest(),
         fn_identity(fn),
         canonicalize(payload),
     )
@@ -150,4 +175,5 @@ __all__ = [
     "canonicalize",
     "content_key",
     "fn_identity",
+    "source_digest",
 ]

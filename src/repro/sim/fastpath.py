@@ -86,7 +86,7 @@ from ..cpu.core_model import Core
 from ..dram.commands import Command, CommandType, Request, RequestKind
 from . import perdomain
 from .multichannel import MultiChannelFsController
-from .system import RunResult, System
+from .system import RunResult, StopRun, System
 
 # Hot-path Enum members as module constants (see repro.dram.commands).
 _ACTIVATE = CommandType.ACTIVATE
@@ -596,6 +596,11 @@ class FastSystem(System):
     schedulers and ``run(lockstep=True)`` keep the stride loop.
     ``victim`` ends the stride loop as it ends the reference loop; it
     does not choose the loop, and the per-domain driver ignores it.
+    A completion hook's :class:`~repro.sim.system.StopRun` ends the
+    stride loop at its release cycle, as it ends the reference loop.
+    The per-domain driver has no one cycle at which every domain
+    stands, so it does not catch it: a run whose hook may stop it
+    passes ``lockstep=True``, as ``victim_view`` does.
     """
 
     engine_name = "fast"
@@ -622,8 +627,11 @@ class FastSystem(System):
             if wall_budget_s is not None else None
         )
         if lockstep or not perdomain.ready(self):
-            clock = self._strides(max_cycles, deadline, wall_budget_s,
-                                  victim)
+            try:
+                clock = self._strides(max_cycles, deadline, wall_budget_s,
+                                      victim)
+            except StopRun as stop:
+                clock = stop.cycle
         else:
             clock = perdomain.run(self, max_cycles, deadline,
                                   wall_budget_s)

@@ -26,6 +26,20 @@ from ..dram.power import EnergyBreakdown, PowerModel
 from ..mapping.partition import PartitionPolicy
 
 
+class StopRun(Exception):
+    """Raised by a completion hook to end the run at a release cycle.
+
+    The lockstep loops (``System.run`` and the fast engine's stride
+    loop) catch it around the loop and finish the run there: the cycle
+    count and the run span end at ``cycle``.  The release cycle is the
+    same on both engines.
+    """
+
+    def __init__(self, cycle: int) -> None:
+        super().__init__(cycle)
+        self.cycle = cycle
+
+
 @dataclass
 class CoreResult:
     """Per-core outcome of a run."""
@@ -151,6 +165,14 @@ class System:
         completions are the full run's; the cycle count, the other
         cores' results, the stats and the energy are the shorter run's.
         An index outside the cores raises ``ValueError``.
+
+        A core's completion hook may raise :class:`StopRun` to end a
+        lockstep run at a release cycle.  The run returns as if it had
+        ended there: the cycle count, the run span and every core's
+        result are taken at that cycle.  The stats and the energy are
+        those of the controller as it stood, which may have worked past
+        it.  ``victim_view`` stops a world this way at its first read
+        that differs from a reference world's.
         """
         del lockstep  # always lockstep
         victim_core = self._victim_core(victim)
@@ -166,53 +188,56 @@ class System:
         iterations = 0
         for i in range(len(self.cores)):
             self._pump(i)
-        while True:
-            if deadline is not None and iterations % 256 == 0 and (
-                time.monotonic() > deadline
-            ):
-                raise self._timed_out(wall_budget_s, clock)
-            iterations += 1
-            if all(core.done for core in self.cores):
-                break
-            if target_reads is not None and reads_done >= target_reads:
-                break
-            if clock >= max_cycles:
-                break
-            if victim_core is not None and victim_core.done and (
-                clock >= victim_core.finish_mem_cycle()
-            ):
-                break
-            arrivals = [
-                r.arrival for r in self._staged if r is not None
-            ]
-            ctrl_next = controller.next_event()
-            candidates = list(arrivals)
-            if ctrl_next is not None:
-                candidates.append(ctrl_next)
-            if not candidates:
-                break  # deadlock guard: nothing can ever happen again
-            clock = max(clock + 1, min(candidates))
-            clock = min(clock, max_cycles)
-            delivered = True
-            while delivered:
-                delivered = False
-                for i, request in enumerate(self._staged):
-                    if request is None or request.arrival > clock:
+        try:
+            while True:
+                if deadline is not None and iterations % 256 == 0 and (
+                    time.monotonic() > deadline
+                ):
+                    raise self._timed_out(wall_budget_s, clock)
+                iterations += 1
+                if all(core.done for core in self.cores):
+                    break
+                if target_reads is not None and reads_done >= target_reads:
+                    break
+                if clock >= max_cycles:
+                    break
+                if victim_core is not None and victim_core.done and (
+                    clock >= victim_core.finish_mem_cycle()
+                ):
+                    break
+                arrivals = [
+                    r.arrival for r in self._staged if r is not None
+                ]
+                ctrl_next = controller.next_event()
+                candidates = list(arrivals)
+                if ctrl_next is not None:
+                    candidates.append(ctrl_next)
+                if not candidates:
+                    break  # deadlock guard: nothing can ever happen again
+                clock = max(clock + 1, min(candidates))
+                clock = min(clock, max_cycles)
+                delivered = True
+                while delivered:
+                    delivered = False
+                    for i, request in enumerate(self._staged):
+                        if request is None or request.arrival > clock:
+                            continue
+                        if not controller.can_accept(request.domain):
+                            continue  # back-pressure: core stalls here
+                        controller.enqueue(request)
+                        self._staged[i] = None
+                        self._pump(i)
+                        delivered = True
+                for request in controller.advance(clock):
+                    if request.kind is not RequestKind.DEMAND:
                         continue
-                    if not controller.can_accept(request.domain):
-                        continue  # back-pressure: core stalls here
-                    controller.enqueue(request)
-                    self._staged[i] = None
-                    self._pump(i)
-                    delivered = True
-            for request in controller.advance(clock):
-                if request.kind is not RequestKind.DEMAND:
-                    continue
-                core = request.core_tag
-                if isinstance(core, Core):
-                    core.on_complete(request, request.release)
-                    reads_done += 1
-                    self._pump(self._core_index[id(core)])
+                    core = request.core_tag
+                    if isinstance(core, Core):
+                        core.on_complete(request, request.release)
+                        reads_done += 1
+                        self._pump(self._core_index[id(core)])
+        except StopRun as stop:
+            clock = stop.cycle
         controller.finalize()
         if tracer is not None:
             tracer.record_engine_run(

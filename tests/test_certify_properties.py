@@ -12,11 +12,15 @@ happens to produce.  Pinned properties:
   an independent pair above the certification epsilon;
 * the correction only ever subtracts (corrected <= plug-in), and the
   bootstrap bound only ever adds (upper >= point);
-* the bootstrap is a pure function of its seed.
+* the bootstrap is a pure function of its seed, and skipping its
+  resampling on a singleton alphabet returns the loop's bits.
 """
 
+import itertools
 import math
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.certify import (
@@ -101,6 +105,43 @@ def test_bootstrap_bound_dominates_point_and_is_seeded(samples, seed):
     again = bootstrap_upper_bound(samples, resamples=25, seed=seed)
     assert upper >= point
     assert upper == again
+
+
+def _resampled(samples, resamples=200, quantile=0.95, seed=0):
+    """``bootstrap_upper_bound`` with its resampling loop always run."""
+    point = corrected_mi_bits(samples)
+    if len(samples) < 2:
+        return point
+    rng = random.Random(seed)
+    n = len(samples)
+    estimates = sorted(
+        corrected_mi_bits([samples[rng.randrange(n)] for _ in range(n)])
+        for _ in range(resamples)
+    )
+    index = min(len(estimates) - 1, int(quantile * len(estimates)))
+    return max(point, estimates[index])
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+def test_skipped_resampling_returns_the_loops_bits(trials):
+    """Every (secret, id) sample set the two-world harness can make
+    from 1-5 trials (each trial's worlds match or differ), and the
+    one-secret sets: with a singleton alphabet every resample is
+    exactly 0.0, so returning the point estimate at once is
+    bit-equal to running the loop."""
+    sets = []
+    for differs in itertools.product((0, 1), repeat=trials):
+        raw = [(t, secret, secret * d)
+               for t, d in enumerate(differs) for secret in (0, 1)]
+        sets.append(canonicalize_by_trial(raw))
+    sets += [[(0, 0)] * (2 * trials), [(1, 0), (1, 1)] * trials]
+    singletons = 0
+    for samples in sets:
+        singletons += 1 in support_sizes(samples)
+        for seed in (0, 1, 7, 99, 2015):
+            assert bootstrap_upper_bound(samples, seed=seed).hex() == \
+                _resampled(samples, seed=seed).hex()
+    assert singletons == 3
 
 
 @given(st.integers(1, 10_000), st.integers(1, 8), st.integers(1, 64))

@@ -17,9 +17,13 @@ Pins the acceptance contract of the cross-session cache:
 import json
 import os
 import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.errors import StoreError
 from repro.exec import JobSpec, run_jobs
@@ -86,6 +90,47 @@ class TestKeys:
     def test_sequences_keep_order_sets_do_not(self):
         assert (canonicalize([1, 2]) != canonicalize([2, 1]))
         assert (canonicalize({1, 2}) == canonicalize({2, 1}))
+
+    def test_edited_sources_miss_the_checkpoint_and_the_store(
+            self, tmp_path):
+        """In a copy of the package, an unedited rerun replays a
+        ``certify --checkpoint`` job and hits the ``--store`` for a
+        sweep; after a comment is appended to the certify worker's
+        module, both reruns compute afresh."""
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        shutil.copytree(package, tmp_path / "src" / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"),
+                   REPRO_STORE_DIR=str(tmp_path / "store"))
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args], env=env,
+                cwd=tmp_path, capture_output=True, text=True, check=False,
+            )
+
+        def certify():
+            cli("certify", "--scheme", "fs_rp", "--strategies", "1",
+                "--trials", "1", "--cores", "2", "--accesses", "20",
+                "--engine", "fast", "--checkpoint", "c.json")
+            path = tmp_path / "c.json"
+            return set(json.loads(path.read_text())["results"])
+
+        def sweep(checkpoint):
+            return cli("sweep", "--schemes", "fs_rp", "--workloads", "mcf",
+                       "--cores", "2", "--accesses", "20", "--store",
+                       "--checkpoint", checkpoint).stderr
+
+        cold = certify()
+        assert len(cold) == 1 and certify() == cold
+        assert "0 hit(s)" in sweep("s1.json")
+        assert "0 miss(es)" in sweep("s2.json")
+        with open(tmp_path / "src" / "repro" / "certify" / "harness.py",
+                  "a", encoding="utf-8") as handle:
+            handle.write("# edited\n")
+        edited = certify()
+        assert len(edited) == 2 and cold < edited
+        assert "0 hit(s)" in sweep("s3.json")
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,9 @@ leaks of ``tests/leaky_scheme.py`` beside every certifiable built-in.
 The property test compares both worlds' whole ``VictimView`` with the
 view of the same run taken to its full end (``System.run`` patched to
 drop ``victim``), on both engines, for a strategy of every family.
-The fixed cases pin where a stopped run ends, and the contract tests
-pin ``System.run(victim=...)`` itself.
+The fixed cases pin where a stopped run ends, the contract tests pin
+``System.run(victim=...)`` itself, and the last case pins that
+``VictimView.ipc`` is measured at the victim's own last retirement.
 
 ``conftest.py`` registers the ``wide`` hypothesis profile;
 ``--hypothesis-profile=wide`` runs the property test on a larger,
@@ -241,3 +242,32 @@ def test_a_victim_outside_the_cores_is_refused(engine, victim):
         system.run(victim=victim)
     with pytest.raises(ValueError, match="not a core index"):
         system.run(target_reads=10, victim=victim)
+
+
+# ---------------------------------------------------------------------
+# The victim's IPC does not depend on when its co-runners finish.
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_the_victims_ipc_is_measured_at_its_own_finish(engine):
+    """tp_bp under adaptive_probe/3 (seed 99 batch) at 4 cores x 75
+    accesses: the two worlds' observations are equal, but in one of
+    them every core is done before the attacker's trailing
+    instructions retire, so the run's last cycle falls before the
+    attacker's finish.  Measured at that cycle the IPC read 0.0844221
+    there and 0.0849854 in the other world."""
+    strategy = {s.name: s for s in generate_strategies(20, seed=99)}[
+        "adaptive_probe/3"]
+    config = SystemConfig(num_cores=4, accesses_per_core=75,
+                          seed=7 + strategy.seed)
+    options = SchemeOptions(refresh=strategy.refresh,
+                            faults=strategy.faults)
+    views = [
+        victim_view("tp_bp", strategy.attacker, co_runner, config=config,
+                    options=options, engine=engine)
+        for co_runner in (strategy.secret0, strategy.secret1)
+    ]
+    assert (views[0].profile, views[0].read_releases) == \
+        (views[1].profile, views[1].read_releases)
+    assert views[0].ipc == views[1].ipc == 0.08498540033809743
