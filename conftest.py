@@ -17,9 +17,10 @@ pytest options:
     of comparing against them (see ``tests/test_golden_traces.py``).
 
 ``--hypothesis-profile=wide``
-    Run the property tests of ``tests/test_per_domain_driver.py`` and
-    ``tests/test_victim_stop.py`` on a larger, random example budget
-    instead of their small derandomized one.
+    Run the property tests of ``tests/test_per_domain_driver.py``,
+    ``tests/test_victim_stop.py`` and ``tests/test_reference_stop.py``
+    on a larger, random example budget instead of their small
+    derandomized one.
 """
 
 import os

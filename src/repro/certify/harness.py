@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.leakage import victim_view
+from ..analysis.leakage import VictimWorld, victim_view
 from ..errors import ConfigError, SchemeError
 from ..exec import (
     SPANS_KEY,
@@ -176,23 +176,31 @@ def two_world_samples(
 ) -> Tuple[List[Tuple[int, int, Tuple]], bool]:
     """Run the paired experiment and return ``(raw samples, exact)``.
 
-    ``raw`` holds ``(trial, secret, observation)`` triples; ``exact`` is
-    True when every trial's two observations matched bit-for-bit.
+    ``raw`` holds ``(trial, secret, observation)`` triples, in secret
+    order; ``exact`` is True when every trial's two observations
+    matched bit-for-bit.
 
-    World 0 runs in full; world 1 runs against it as a reference and
-    stops at its first read whose release differs from world 0's (see
-    :func:`~repro.analysis.leakage.victim_view`).  A stopped world's
-    observation already differs from world 0's, so the within-trial
-    ids of :func:`~repro.certify.estimators.canonicalize_by_trial`, and
-    every verdict field built on them, are those of the full worlds.
-    A world that matches every release runs to its end and is compared
-    in full.  A stopped world no longer raises an error it would have
-    met after the stop; its trial already fails to match.
+    A trial steps its two worlds together, read release by read
+    release (see :func:`~repro.analysis.leakage.victim_view` with a
+    ``reference``), and stops both at the first index where the
+    attacker's releases differ, or where one world has ended and the
+    other releases again.  The observation is ``(profile,
+    read_releases)``, so such worlds differ whatever the rest of their
+    runs do: the within-trial ids of
+    :func:`~repro.certify.estimators.canonicalize_by_trial`, and every
+    verdict field built on them, are those of the full worlds.  Worlds
+    that match every release (every Fixed Service trial) run to their
+    ends and are compared in full.  World 0 is built first; if world 1
+    raises before the trial is decided, world 0 runs to its end first,
+    so an error of world 0's wins.  An error either world would raise
+    after the trial is decided is not reported; the trial already
+    fails to match.
 
     With a :class:`~repro.telemetry.spans.SpanTracer`, each trial is
-    wrapped in a span and the driver records its run/phase/epoch spans
-    beneath it; the tracer never reaches the controller, so traced
-    worlds run the untraced code path and verdicts are unchanged.
+    wrapped in a span and the driver records each world's run/phase/
+    epoch spans beneath it, world 0's first; the tracer never reaches
+    the controller, so traced worlds run the untraced code path and
+    verdicts are unchanged.
     """
     options = SchemeOptions(
         refresh=strategy.refresh, faults=strategy.faults, tracer=tracer
@@ -207,21 +215,22 @@ def two_world_samples(
             tracer.begin(f"trial {trial}", "trial")
             if tracer is not None else None
         )
-        views = []
-        for secret, co_runner in enumerate(
-            (strategy.secret0, strategy.secret1)
-        ):
-            view = victim_view(
-                scheme, strategy.attacker, co_runner,
-                config=trial_config, options=options,
-                max_cycles=max_cycles, engine=engine,
-                reference=views[0] if views else None,
-            )
-            views.append(view)
-            raw.append((trial, secret, _observation(view)))
+        world0 = VictimWorld(
+            scheme, strategy.attacker, strategy.secret0,
+            config=trial_config, options=options, max_cycles=max_cycles,
+            engine=engine,
+        )
+        view1 = victim_view(
+            scheme, strategy.attacker, strategy.secret1,
+            config=trial_config, options=options, max_cycles=max_cycles,
+            engine=engine, reference=world0,
+        )
+        observations = (_observation(world0.view), _observation(view1))
+        for secret, observation in enumerate(observations):
+            raw.append((trial, secret, observation))
         if trial_span is not None:
             tracer.end(trial_span)
-        if _observation(views[0]) != _observation(views[1]):
+        if observations[0] != observations[1]:
             exact = False
     return raw, exact
 

@@ -203,6 +203,20 @@ class Core:
             pending = self._reads.popleft()
             self._commit_read_retirement(pending)
 
+    def drop_in_flight(self) -> None:
+        """Unlink the reads still in flight from this core.
+
+        An in-flight request points back to its core (``core_tag``)
+        while the core holds it, a reference cycle.  A caller that
+        drops a run before its reads return calls this once it has
+        taken the run's results, so the core, its trace and its
+        requests are freed by reference counting.  The core's own
+        state is left as it stands; a dropped request's completion no
+        longer reaches it.
+        """
+        for pending in self._reads:
+            pending.request.core_tag = None
+
     @property
     def blocked(self) -> bool:
         """True if the next emit needs a completion first."""

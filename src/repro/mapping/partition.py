@@ -95,7 +95,26 @@ class PartitionPolicy(abc.ABC):
             raise ValueError(f"domain {domain} out of range")
 
 
-class ChannelPartition(PartitionPolicy):
+class _OwnedPartition(PartitionPolicy):
+    """A policy under which each domain owns a fixed resource list.
+
+    Subclasses build ``_owned``, one tuple of (channel, rank, bank)
+    triples per domain, once at construction, so :meth:`decode` copies
+    nothing per access.
+    """
+
+    _owned: Tuple[Tuple[Tuple[int, int, int], ...], ...]
+
+    def decode(self, domain: int, line: int) -> Address:
+        self._check_domain(domain)
+        return interleave_decode(self._owned[domain], self.geometry, line)
+
+    def resources(self, domain: int) -> List[Tuple[int, int, int]]:
+        self._check_domain(domain)
+        return list(self._owned[domain])
+
+
+class ChannelPartition(_OwnedPartition):
     """Each domain owns ``channels / num_domains`` whole channels."""
 
     def __init__(self, geometry: Geometry, num_domains: int) -> None:
@@ -105,6 +124,15 @@ class ChannelPartition(PartitionPolicy):
                 "channel partitioning needs at least one channel per domain"
             )
         self._per_domain = geometry.channels // num_domains
+        self._owned = tuple(
+            tuple(
+                (ch, rk, bk)
+                for ch in self.channels_of(d)
+                for rk in range(geometry.ranks)
+                for bk in range(geometry.banks)
+            )
+            for d in range(num_domains)
+        )
 
     @property
     def level(self) -> str:
@@ -115,21 +143,8 @@ class ChannelPartition(PartitionPolicy):
         start = domain * self._per_domain
         return list(range(start, start + self._per_domain))
 
-    def decode(self, domain: int, line: int) -> Address:
-        return interleave_decode(
-            self.resources(domain), self.geometry, line
-        )
 
-    def resources(self, domain: int) -> List[Tuple[int, int, int]]:
-        out = []
-        for ch in self.channels_of(domain):
-            for rk in range(self.geometry.ranks):
-                for bk in range(self.geometry.banks):
-                    out.append((ch, rk, bk))
-        return out
-
-
-class RankPartition(PartitionPolicy):
+class RankPartition(_OwnedPartition):
     """Each domain owns one or more whole ranks (round-robin assignment).
 
     With N domains over C*R ranks, domain ``d`` owns ranks
@@ -151,6 +166,14 @@ class RankPartition(PartitionPolicy):
         for idx in range(total_ranks):
             ch, rk = divmod(idx, geometry.ranks)
             self._assignment[idx % num_domains].append((ch, rk))
+        self._owned = tuple(
+            tuple(
+                (ch, rk, bk)
+                for ch, rk in self._assignment[d]
+                for bk in range(geometry.banks)
+            )
+            for d in range(num_domains)
+        )
 
     @property
     def level(self) -> str:
@@ -160,20 +183,8 @@ class RankPartition(PartitionPolicy):
         self._check_domain(domain)
         return list(self._assignment[domain])
 
-    def decode(self, domain: int, line: int) -> Address:
-        return interleave_decode(
-            self.resources(domain), self.geometry, line
-        )
 
-    def resources(self, domain: int) -> List[Tuple[int, int, int]]:
-        return [
-            (ch, rk, bk)
-            for ch, rk in self.ranks_of(domain)
-            for bk in range(self.geometry.banks)
-        ]
-
-
-class BankPartition(PartitionPolicy):
+class BankPartition(_OwnedPartition):
     """Each domain owns a disjoint set of banks spread across all ranks.
 
     Domain ``d`` owns bank ``b`` of rank ``r`` whenever
@@ -189,29 +200,21 @@ class BankPartition(PartitionPolicy):
             raise ValueError(
                 "bank partitioning needs at least one bank per domain"
             )
-        self._assignment: Dict[int, List[Tuple[int, int, int]]] = {
-            d: [] for d in range(num_domains)
-        }
+        owned: List[List[Tuple[int, int, int]]] = [
+            [] for _ in range(num_domains)
+        ]
         for idx in range(total_banks):
             ch, rest = divmod(idx, geometry.ranks * geometry.banks)
             rk, bk = divmod(rest, geometry.banks)
-            self._assignment[idx % num_domains].append((ch, rk, bk))
+            owned[idx % num_domains].append((ch, rk, bk))
+        self._owned = tuple(map(tuple, owned))
 
     @property
     def level(self) -> str:
         return "bank"
 
     def banks_of(self, domain: int) -> List[Tuple[int, int, int]]:
-        self._check_domain(domain)
-        return list(self._assignment[domain])
-
-    def decode(self, domain: int, line: int) -> Address:
-        return interleave_decode(
-            self.banks_of(domain), self.geometry, line
-        )
-
-    def resources(self, domain: int) -> List[Tuple[int, int, int]]:
-        return self.banks_of(domain)
+        return self.resources(domain)
 
 
 class NoPartition(PartitionPolicy):

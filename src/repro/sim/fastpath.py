@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..controllers.frfcfs import FrFcfsController, _Candidate
 from ..controllers.tp import TemporalPartitioningController
@@ -86,7 +86,7 @@ from ..cpu.core_model import Core
 from ..dram.commands import Command, CommandType, Request, RequestKind
 from . import perdomain
 from .multichannel import MultiChannelFsController
-from .system import RunResult, StopRun, System
+from .system import RunResult, System, drain
 
 # Hot-path Enum members as module constants (see repro.dram.commands).
 _ACTIVATE = CommandType.ACTIVATE
@@ -596,11 +596,14 @@ class FastSystem(System):
     schedulers and ``run(lockstep=True)`` keep the stride loop.
     ``victim`` ends the stride loop as it ends the reference loop; it
     does not choose the loop, and the per-domain driver ignores it.
-    A completion hook's :class:`~repro.sim.system.StopRun` ends the
-    stride loop at its release cycle, as it ends the reference loop.
-    The per-domain driver has no one cycle at which every domain
-    stands, so it does not catch it: a run whose hook may stop it
-    passes ``lockstep=True``, as ``victim_view`` does.
+
+    The stride loop is a generator, as the reference loop is:
+    :meth:`steps` pauses it at each of the victim's read releases, at
+    the same releases and in the same state as the reference loop, and
+    ``run`` drains it.  A run with no victim never pauses, so its
+    strides cost what they cost in a plain loop.  Stepped runs are
+    always lockstep: the per-domain driver has no one cycle at which
+    every domain stands.
     """
 
     engine_name = "fast"
@@ -620,33 +623,28 @@ class FastSystem(System):
             return super().run(max_cycles, target_reads, wall_budget_s,
                                victim=victim)
         self._victim_core(victim)
-        tracer = self.tracer
-        wall_start = time.monotonic() if tracer is not None else None
+        started = time.monotonic()
         deadline = (
-            time.monotonic() + wall_budget_s
-            if wall_budget_s is not None else None
+            started + wall_budget_s if wall_budget_s is not None else None
         )
         if lockstep or not perdomain.ready(self):
-            try:
-                clock = self._strides(max_cycles, deadline, wall_budget_s,
-                                      victim)
-            except StopRun as stop:
-                clock = stop.cycle
+            clock = drain(self._strides(max_cycles, deadline,
+                                        wall_budget_s, victim))
         else:
             clock = perdomain.run(self, max_cycles, deadline,
                                   wall_budget_s)
-        self.controller.finalize()
-        if tracer is not None:
-            tracer.record_engine_run(
-                self.scheme, self.engine_name, clock,
-                wall_seconds=time.monotonic() - wall_start,
-            )
-        return self._collect(clock)
+        return self.finish(clock, started)
+
+    def steps(self, max_cycles: int = 10_000_000, *,
+              victim: int) -> Generator[int, None, int]:
+        return self._strides(max_cycles, None, None, victim)
 
     def _strides(self, max_cycles: int, deadline: Optional[float],
                  wall_budget_s: Optional[float],
-                 victim: Optional[int]) -> int:
-        """The lockstep stride loop; returns the final clock."""
+                 victim: Optional[int]) -> Generator[int, None, int]:
+        """The lockstep stride loop; yields core ``victim``'s release
+        cycles and returns the final clock."""
+        victim_core = self._victim_core(victim)
         controller = self.controller
         clock = 0
         # The stride loop runs once per demand event, so its constant
@@ -752,6 +750,8 @@ class FastSystem(System):
                 core = request.core_tag
                 if isinstance(core, Core):
                     core.on_complete(request, request.release)
+                    if core is victim_core:
+                        yield request.release
                     i = core_index[id(core)]
                     pump(i)
                     if cores[i].done:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..controllers.base import MemoryController
 from ..errors import SimTimeoutError
@@ -24,20 +24,6 @@ from ..cpu.core_model import Core
 from ..dram.commands import Request, RequestKind
 from ..dram.power import EnergyBreakdown, PowerModel
 from ..mapping.partition import PartitionPolicy
-
-
-class StopRun(Exception):
-    """Raised by a completion hook to end the run at a release cycle.
-
-    The lockstep loops (``System.run`` and the fast engine's stride
-    loop) catch it around the loop and finish the run there: the cycle
-    count and the run span end at ``cycle``.  The release cycle is the
-    same on both engines.
-    """
-
-    def __init__(self, cycle: int) -> None:
-        super().__init__(cycle)
-        self.cycle = cycle
 
 
 @dataclass
@@ -85,6 +71,16 @@ class RunResult:
             if theirs.ipc > 0:
                 total += mine.ipc / theirs.ipc
         return total
+
+
+def drain(steps: Generator[int, None, int]) -> int:
+    """Run a stepped loop (see :meth:`System.steps`) to its end and
+    return its final clock."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as end:
+            return end.value
 
 
 class System:
@@ -166,85 +162,116 @@ class System:
         cores' results, the stats and the energy are the shorter run's.
         An index outside the cores raises ``ValueError``.
 
-        A core's completion hook may raise :class:`StopRun` to end a
-        lockstep run at a release cycle.  The run returns as if it had
-        ended there: the cycle count, the run span and every core's
-        result are taken at that cycle.  The stats and the energy are
-        those of the controller as it stood, which may have worked past
-        it.  ``victim_view`` stops a world this way at its first read
-        that differs from a reference world's.
+        The run drains the loop that :meth:`steps` pauses (it never
+        pauses here) and ends with :meth:`finish`.
         """
         del lockstep  # always lockstep
+        started = time.monotonic()
+        deadline = (
+            started + wall_budget_s if wall_budget_s is not None else None
+        )
+        clock = drain(self._loop(max_cycles, target_reads, deadline,
+                                 wall_budget_s, victim))
+        return self.finish(clock, started)
+
+    def steps(self, max_cycles: int = 10_000_000, *,
+              victim: int) -> Generator[int, None, int]:
+        """The lockstep loop of :meth:`run`, paused at each of core
+        ``victim``'s read releases.
+
+        Each ``next()`` runs the loop to core ``victim``'s next
+        release and yields its cycle.  The loop pauses right after the
+        core's ``on_complete`` for that read, before the core is pumped
+        again; the generator returns the final clock (``StopIteration``
+        carries it) when the run ends as :meth:`run` would end it.  A
+        paused run may be dropped: :meth:`finish` at the last yielded
+        cycle ends it there, with the cycle count, the run span and
+        every core's result taken at that cycle, and the stats and the
+        energy those of the controller as it stood, which may have
+        worked past it.  Both engines pause at the same releases, with
+        every core in the same state.
+        """
+        return self._loop(max_cycles, None, None, None, victim)
+
+    def finish(self, clock: int, started: float) -> RunResult:
+        """End a run at ``clock``: settle the controller, record the
+        run span (when a tracer is set) and collect the result.
+
+        The one finish step of :meth:`run` and of a run stepped through
+        :meth:`steps`.  ``started`` is the ``time.monotonic()`` at which
+        the run began; it sets only the span's volatile wall time.
+        """
+        self.controller.finalize()
+        if self.tracer is not None:
+            self.tracer.record_engine_run(
+                self.scheme, self.engine_name, clock,
+                wall_seconds=time.monotonic() - started,
+            )
+        return self._collect(clock)
+
+    def _loop(self, max_cycles: int, target_reads: Optional[int],
+              deadline: Optional[float], wall_budget_s: Optional[float],
+              victim: Optional[int]) -> Generator[int, None, int]:
+        """The reference lockstep loop (see :meth:`run` and
+        :meth:`steps`); yields core ``victim``'s release cycles and
+        returns the final clock."""
         victim_core = self._victim_core(victim)
         controller = self.controller
         clock = 0
         reads_done = 0
-        tracer = self.tracer
-        wall_start = time.monotonic() if tracer is not None else None
-        deadline = (
-            time.monotonic() + wall_budget_s
-            if wall_budget_s is not None else None
-        )
         iterations = 0
         for i in range(len(self.cores)):
             self._pump(i)
-        try:
-            while True:
-                if deadline is not None and iterations % 256 == 0 and (
-                    time.monotonic() > deadline
-                ):
-                    raise self._timed_out(wall_budget_s, clock)
-                iterations += 1
-                if all(core.done for core in self.cores):
-                    break
-                if target_reads is not None and reads_done >= target_reads:
-                    break
-                if clock >= max_cycles:
-                    break
-                if victim_core is not None and victim_core.done and (
-                    clock >= victim_core.finish_mem_cycle()
-                ):
-                    break
-                arrivals = [
-                    r.arrival for r in self._staged if r is not None
-                ]
-                ctrl_next = controller.next_event()
-                candidates = list(arrivals)
-                if ctrl_next is not None:
-                    candidates.append(ctrl_next)
-                if not candidates:
-                    break  # deadlock guard: nothing can ever happen again
-                clock = max(clock + 1, min(candidates))
-                clock = min(clock, max_cycles)
-                delivered = True
-                while delivered:
-                    delivered = False
-                    for i, request in enumerate(self._staged):
-                        if request is None or request.arrival > clock:
-                            continue
-                        if not controller.can_accept(request.domain):
-                            continue  # back-pressure: core stalls here
-                        controller.enqueue(request)
-                        self._staged[i] = None
-                        self._pump(i)
-                        delivered = True
-                for request in controller.advance(clock):
-                    if request.kind is not RequestKind.DEMAND:
+        while True:
+            if deadline is not None and iterations % 256 == 0 and (
+                time.monotonic() > deadline
+            ):
+                raise self._timed_out(wall_budget_s, clock)
+            iterations += 1
+            if all(core.done for core in self.cores):
+                break
+            if target_reads is not None and reads_done >= target_reads:
+                break
+            if clock >= max_cycles:
+                break
+            if victim_core is not None and victim_core.done and (
+                clock >= victim_core.finish_mem_cycle()
+            ):
+                break
+            arrivals = [
+                r.arrival for r in self._staged if r is not None
+            ]
+            ctrl_next = controller.next_event()
+            candidates = list(arrivals)
+            if ctrl_next is not None:
+                candidates.append(ctrl_next)
+            if not candidates:
+                break  # deadlock guard: nothing can ever happen again
+            clock = max(clock + 1, min(candidates))
+            clock = min(clock, max_cycles)
+            delivered = True
+            while delivered:
+                delivered = False
+                for i, request in enumerate(self._staged):
+                    if request is None or request.arrival > clock:
                         continue
-                    core = request.core_tag
-                    if isinstance(core, Core):
-                        core.on_complete(request, request.release)
-                        reads_done += 1
-                        self._pump(self._core_index[id(core)])
-        except StopRun as stop:
-            clock = stop.cycle
-        controller.finalize()
-        if tracer is not None:
-            tracer.record_engine_run(
-                self.scheme, self.engine_name, clock,
-                wall_seconds=time.monotonic() - wall_start,
-            )
-        return self._collect(clock)
+                    if not controller.can_accept(request.domain):
+                        continue  # back-pressure: core stalls here
+                    controller.enqueue(request)
+                    self._staged[i] = None
+                    self._pump(i)
+                    delivered = True
+            for request in controller.advance(clock):
+                if request.kind is not RequestKind.DEMAND:
+                    continue
+                core = request.core_tag
+                if isinstance(core, Core):
+                    core.on_complete(request, request.release)
+                    reads_done += 1
+                    if core is victim_core:
+                        yield request.release
+                    self._pump(self._core_index[id(core)])
+        return clock
 
     # ------------------------------------------------------------------
 

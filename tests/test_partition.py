@@ -9,6 +9,7 @@ from repro.mapping.partition import (
     ChannelPartition,
     NoPartition,
     RankPartition,
+    interleave_decode,
     make_partition,
 )
 
@@ -139,3 +140,30 @@ class TestFactory:
         p = make_partition("rank", G, 4)
         with pytest.raises(ValueError):
             p.resources(4)
+        # A negative domain is refused too: it must not wrap around to
+        # the last domain's resources.
+        for level in ("channel", "rank", "bank", "none"):
+            p = make_partition(level, G4 if level == "channel" else G, 4)
+            for domain in (-1, 4):
+                with pytest.raises(ValueError, match="out of range"):
+                    p.decode(domain, 0)
+                with pytest.raises(ValueError, match="out of range"):
+                    p.resources(domain)
+
+    @pytest.mark.parametrize("level,geometry,domains", [
+        ("channel", G4, 2), ("channel", G4, 4),
+        ("rank", G, 3), ("rank", G, 8), ("rank", G4, 5),
+        ("bank", G, 3), ("bank", G, 8), ("bank", G4, 6),
+    ])
+    def test_decode_interleaves_the_domains_resources(self, level,
+                                                      geometry, domains):
+        p = make_partition(level, geometry, domains)
+        for d in range(domains):
+            resources = p.resources(d)
+            for line in (0, 1, 127, 128, 4099, 123457, 10**9 + 7):
+                assert p.decode(d, line) == interleave_decode(
+                    resources, geometry, line
+                )
+            # Each call hands out a fresh list.
+            resources.clear()
+            assert p.resources(d)

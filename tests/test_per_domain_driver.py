@@ -271,10 +271,12 @@ def leaky_dummy_registered():
 def test_certification_catches_a_cross_domain_dummy_choice(
         leaky_dummy_registered, monkeypatch):
     """``secret_pair`` reads the leak through lockstep victim views.
-    With the fast engine forced off lockstep and one epoch spanning the
-    run, the attacker's domain takes every slot before a co-runner
-    request is delivered, so the foreign queues it reads are empty in
-    both worlds and the same strategy certifies."""
+    With the fast engine's stepped worlds computed by the per-domain
+    driver instead (each run taken to its end, then its attacker
+    releases handed out one by one) and one epoch spanning the run, the
+    attacker's domain takes every slot before a co-runner request is
+    delivered, so the foreign queues it reads are empty in both worlds
+    and the same strategy certifies."""
     scheme = leaky_dummy_registered
     config = SystemConfig(num_cores=4, accesses_per_core=80).with_cores(4)
     strategy = next(
@@ -289,12 +291,23 @@ def test_certification_catches_a_cross_domain_dummy_choice(
     assert locked.mi_upper_bits > 0.5
 
     monkeypatch.setattr(perdomain, "EPOCH_ROUNDS", 1 << 40)
-    per_domain_run = fastpath.FastSystem.run
 
-    def never_lockstep(self, *args, lockstep=False, **kwargs):
-        return per_domain_run(self, *args, lockstep=False, **kwargs)
+    def per_domain_steps(self, max_cycles=10_000_000, *, victim):
+        assert perdomain.ready(self)
+        core = self.cores[victim]
+        releases = []
+        on_complete = core.on_complete
 
-    monkeypatch.setattr(fastpath.FastSystem, "run", never_lockstep)
+        def recording(request, mem_cycle):
+            releases.append(mem_cycle)
+            on_complete(request, mem_cycle)
+
+        core.on_complete = recording
+        clock = perdomain.run(self, max_cycles, None, None)
+        yield from releases
+        return clock
+
+    monkeypatch.setattr(fastpath.FastSystem, "steps", per_domain_steps)
     alone = harness.certify_strategy(scheme, strategy, config,
                                      engine="fast")
     assert alone.passed and alone.exact_match

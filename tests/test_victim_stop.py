@@ -2,8 +2,9 @@
 everything the full run shows it.
 
 ``System.run(victim=i)`` also ends at the first stop where core ``i``
-is done and the clock has reached its ``finish_mem_cycle()``, and
-``victim_view`` passes ``victim=0``.  That is exact by causality, not
+is done and the clock has reached its ``finish_mem_cycle()``, and so
+does ``System.steps(victim=i)``, which ``victim_view`` steps with
+``victim=0``.  That is exact by causality, not
 by non-interference: the stopped run's stops are a prefix of the full
 run's, and after core ``i``'s last release and last retirement nothing
 can move its release cycles, its completion profile or its IPC.  So it
@@ -11,8 +12,9 @@ holds for leaky schemes too, and the property test draws the planted
 leaks of ``tests/leaky_scheme.py`` beside every certifiable built-in.
 
 The property test compares both worlds' whole ``VictimView`` with the
-view of the same run taken to its full end (``System.run`` patched to
-drop ``victim``), on both engines, for a strategy of every family.
+view of the same run taken to its full end (``System.run`` with no
+``victim``, the attacker's releases recorded by a completion hook), on
+both engines, for a strategy of every family.
 The fixed cases pin where a stopped run ends, the contract tests pin
 ``System.run(victim=...)`` itself, and the last case pins that
 ``VictimView.ipc`` is measured at the victim's own last retirement.
@@ -28,14 +30,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from repro.analysis.leakage import victim_view
+from repro.analysis.leakage import VictimView, victim_view
 from repro.certify import STRATEGIES, generate_strategies
 from repro.errors import ConfigError
 from repro.schemes import REGISTRY
 from repro.sim.config import SystemConfig
-from repro.sim.fastpath import FastSystem
 from repro.sim.runner import SchemeOptions, build_system
-from repro.sim.system import System
 from repro.workloads.spec import workload
 from repro.workloads.synthetic import idle_spec, intense_spec
 
@@ -65,22 +65,38 @@ def _leaky_specs_registered():
         REGISTRY.unregister(spec.name)
 
 
-def _full_runs(mp):
-    """Patch ``System.run`` (and the fast driver's override) to drop
-    ``victim``, so every run goes on to its full end."""
-    for cls in (System, FastSystem):
-        original = cls.__dict__["run"]
+def _full_view(scheme, attacker, co_runner, config, options, engine):
+    """The attacker's view of the same run taken to its full end:
+    ``System.run(lockstep=True)`` with no ``victim``, the attacker's
+    releases recorded by a completion hook, and the view's fields taken
+    as ``victim_view`` takes them."""
+    specs = [attacker] + [co_runner] * (config.num_cores - 1)
+    system = build_system(scheme, config, specs, options, engine=engine)
+    core = system.cores[0]
+    releases = []
+    on_complete = core.on_complete
 
-        def full(self, *args, victim=None, _run=original, **kwargs):
-            return _run(self, *args, **kwargs)
+    def recording(request, mem_cycle):
+        releases.append(mem_cycle)
+        on_complete(request, mem_cycle)
 
-        mp.setattr(cls, "run", full)
+    core.on_complete = recording
+    result = system.run(max_cycles=2_000_000, lockstep=True)
+    finish = core.finish_mem_cycle()
+    return VictimView(
+        scheme=scheme,
+        co_runner=co_runner.name,
+        profile=tuple(core.completion_profile(
+            max(100, core.trace.instructions // 25))),
+        read_releases=tuple(releases),
+        ipc=core.ipc(result.cycles if finish is None else finish),
+    )
 
 
-def _view(*args, **kwargs):
-    """``victim_view``, or the error of a build it refuses."""
+def _or_error(view, *args, **kwargs):
+    """``view(...)``, or the error of a build it refuses."""
     try:
-        return victim_view(*args, **kwargs)
+        return view(*args, **kwargs)
     except ConfigError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -112,15 +128,11 @@ def test_a_stopped_view_equals_the_full_view(
     options = SchemeOptions(refresh=strategy.refresh,
                             faults=strategy.faults)
     for co_runner in (strategy.secret0, strategy.secret1):
-        def view():
-            return _view(scheme, strategy.attacker, co_runner,
-                         config=config, options=options,
-                         max_cycles=2_000_000, engine=engine)
-
-        stopped = view()
-        with pytest.MonkeyPatch.context() as mp:
-            _full_runs(mp)
-            full = view()
+        stopped = _or_error(victim_view, scheme, strategy.attacker,
+                            co_runner, config=config, options=options,
+                            max_cycles=2_000_000, engine=engine)
+        full = _or_error(_full_view, scheme, strategy.attacker, co_runner,
+                         config, options, engine)
         assert stopped == full
 
 
