@@ -70,14 +70,12 @@ class VictimWorld:
         config: Optional[SystemConfig] = None,
         options: Optional[SchemeOptions] = None,
         max_cycles: int = 10_000_000,
-        profile_block: Optional[int] = None,
         engine: str = "reference",
     ) -> None:
         config = config or SystemConfig()
         specs = [victim] + [co_runner] * (config.num_cores - 1)
         self._scheme = scheme
         self._co_runner = co_runner.name
-        self._profile_block = profile_block
         self._system = build_system(scheme, config, specs, options,
                                     engine=engine)
         self._steps = self._system.steps(max_cycles, victim=0)
@@ -119,12 +117,10 @@ class VictimWorld:
         system = self._system
         system.finish(clock, self._started)
         core = system.cores[0]
-        profile_block = self._profile_block
-        if profile_block is None:
-            # ~25 milestones over the victim's instruction count (the
-            # paper's Figure 4 plots 10k-instruction blocks over a far
-            # longer run).
-            profile_block = max(100, core.trace.instructions // 25)
+        # ~25 milestones over the victim's instruction count (the
+        # paper's Figure 4 plots 10k-instruction blocks over a far
+        # longer run).
+        profile_block = max(100, core.trace.instructions // 25)
         finish = core.finish_mem_cycle()
         self.view = VictimView(
             scheme=self._scheme,
@@ -172,7 +168,6 @@ def victim_view(
     config: Optional[SystemConfig] = None,
     options: Optional[SchemeOptions] = None,
     max_cycles: int = 10_000_000,
-    profile_block: Optional[int] = None,
     engine: str = "reference",
     reference: Optional[VictimWorld] = None,
 ) -> VictimView:
@@ -210,7 +205,7 @@ def victim_view(
     passes one.
     """
     world = VictimWorld(scheme, victim, co_runner, config, options,
-                        max_cycles, profile_block, engine)
+                        max_cycles, engine)
     if reference is None:
         world.run_out()
         return world.finish()

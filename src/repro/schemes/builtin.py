@@ -97,7 +97,7 @@ BUILTIN_SPECS = (
         family="fs_reordered", partitioning="bank",
         controller=_FS_REORDERED,
         fast_controller=_FAST_FS_REORDERED,
-        expected_q=63, reorder_window=63, fixed_service=True,
+        expected_q=63, fixed_service=True,
     ),
     SchemeSpec(
         name="fs_np",

@@ -93,8 +93,6 @@ class SchemeSpec:
     expected_q: Optional[int] = None
     #: One FS controller per channel (the full 32-core target system).
     multi_channel: bool = False
-    #: Read/write reorder window ``Q`` for the reordered-BP pipeline.
-    reorder_window: Optional[int] = None
     #: The builder honours ``SchemeOptions.refresh`` for this scheme.
     supports_refresh: bool = False
     #: The builder arms sandbox prefetchers on ``SchemeOptions.prefetch``.
@@ -139,7 +137,6 @@ class SchemeSpec:
         for label, value in (
             ("expected_l", self.expected_l),
             ("expected_q", self.expected_q),
-            ("reorder_window", self.reorder_window),
         ):
             if value is not None and value < 1:
                 raise SchemeError(

@@ -84,9 +84,8 @@ from ..core.fs_reordered import ReorderedBpController
 from ..core.schedule import template_cache_stats
 from ..cpu.core_model import Core
 from ..dram.commands import Command, CommandType, Request, RequestKind
-from . import perdomain
 from .multichannel import MultiChannelFsController
-from .system import RunResult, System, drain
+from .system import System
 
 # Hot-path Enum members as module constants (see repro.dram.commands).
 _ACTIVATE = CommandType.ACTIVATE
@@ -589,62 +588,31 @@ class FastSystem(System):
     ``_work`` calls, so every counter matches the reference bit-for-bit.
 
     An unobserved ``FixedServiceController`` run (the closed form, and
-    no plan arming ``borrow_foreign_slot``) skips the stride loop: it
-    runs each core against its own domain's slots
-    (:mod:`repro.sim.perdomain`).
-    Reordered BP, multi-channel FS, observed runs, the dynamic
-    schedulers and ``run(lockstep=True)`` keep the stride loop.
-    ``victim`` ends the stride loop as it ends the reference loop; it
-    does not choose the loop, and the per-domain driver ignores it.
+    no plan arming ``borrow_foreign_slot``) skips the stride loop:
+    :meth:`run` (:attr:`per_domain`) runs each core against its own
+    domain's slots (:mod:`repro.sim.perdomain`).  Reordered BP,
+    multi-channel FS, observed runs and the dynamic schedulers keep the
+    stride loop.
 
-    The stride loop is a generator, as the reference loop is:
-    :meth:`steps` pauses it at each of the victim's read releases, at
-    the same releases and in the same state as the reference loop, and
-    ``run`` drains it.  A run with no victim never pauses, so its
-    strides cost what they cost in a plain loop.  Stepped runs are
-    always lockstep: the per-domain driver has no one cycle at which
-    every domain stands.
+    The stride loop is this engine's ``_loop``, a generator like the
+    reference loop: :meth:`steps` pauses it at each of the victim's
+    read releases, at the same releases and in the same state as the
+    reference loop, and ``run`` drains it.  A run with no victim never
+    pauses, so its strides cost what they cost in a plain loop.
+    Stepped runs are always lockstep: the per-domain driver has no one
+    cycle at which every domain stands.
     """
 
     engine_name = "fast"
+    per_domain = True
 
-    def run(
-        self,
-        max_cycles: int = 10_000_000,
-        target_reads: Optional[int] = None,
-        wall_budget_s: Optional[float] = None,
-        *,
-        lockstep: bool = False,
-        victim: Optional[int] = None,
-    ) -> RunResult:
-        if target_reads is not None:
-            # The read-count cutoff samples the clock mid-stride; keep
-            # the reference granularity for it.
-            return super().run(max_cycles, target_reads, wall_budget_s,
-                               victim=victim)
-        self._victim_core(victim)
-        started = time.monotonic()
-        deadline = (
-            started + wall_budget_s if wall_budget_s is not None else None
-        )
-        if lockstep or not perdomain.ready(self):
-            clock = drain(self._strides(max_cycles, deadline,
-                                        wall_budget_s, victim))
-        else:
-            clock = perdomain.run(self, max_cycles, deadline,
-                                  wall_budget_s)
-        return self.finish(clock, started)
-
-    def steps(self, max_cycles: int = 10_000_000, *,
-              victim: int) -> Generator[int, None, int]:
-        return self._strides(max_cycles, None, None, victim)
-
-    def _strides(self, max_cycles: int, deadline: Optional[float],
-                 wall_budget_s: Optional[float],
-                 victim: Optional[int]) -> Generator[int, None, int]:
-        """The lockstep stride loop; yields core ``victim``'s release
-        cycles and returns the final clock."""
-        victim_core = self._victim_core(victim)
+    def _loop(self, max_cycles: int, victim: Optional[int],
+              deadline: Optional[float] = None,
+              wall_budget_s: Optional[float] = None
+              ) -> Generator[int, None, int]:
+        """The stride loop (see :meth:`System.steps`); yields core
+        ``victim``'s release cycles and returns the final clock."""
+        victim_core = None if victim is None else self.cores[victim]
         controller = self.controller
         clock = 0
         # The stride loop runs once per demand event, so its constant

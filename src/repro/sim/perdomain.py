@@ -32,9 +32,11 @@ before ``t`` is taken, and no later slot puts a command at or before
 (:meth:`~repro.core.fs_controller.FsControllerBase.settle_until`) and
 holds about one epoch.
 
-Certification keeps the lockstep loop (``System.run(lockstep=True)``):
-here the attacker's view is computed from its own domain alone, so a
-two-world certificate would hold by construction.
+``System.run`` takes this driver on the fast engine whenever
+:func:`ready` holds, and nothing else does.  Certification steps the
+lockstep loop (``System.steps``) instead: here the attacker's view is
+computed from its own domain alone, so a two-world certificate would
+hold by construction.
 """
 
 from __future__ import annotations

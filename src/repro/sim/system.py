@@ -24,6 +24,7 @@ from ..cpu.core_model import Core
 from ..dram.commands import Request, RequestKind
 from ..dram.power import EnergyBreakdown, PowerModel
 from ..mapping.partition import PartitionPolicy
+from . import perdomain
 
 
 @dataclass
@@ -88,6 +89,10 @@ class System:
 
     #: Engine label stamped on run spans (overridden by the fast driver).
     engine_name = "reference"
+    #: Whether :meth:`run` takes a system that
+    #: :func:`repro.sim.perdomain.ready` accepts one domain at a time
+    #: (set by the fast driver).
+    per_domain = False
 
     def __init__(
         self,
@@ -131,15 +136,8 @@ class System:
         )
         self._staged[index] = request
 
-    def run(
-        self,
-        max_cycles: int = 10_000_000,
-        target_reads: Optional[int] = None,
-        wall_budget_s: Optional[float] = None,
-        *,
-        lockstep: bool = False,
-        victim: Optional[int] = None,
-    ) -> RunResult:
+    def run(self, max_cycles: int = 10_000_000,
+            wall_budget_s: Optional[float] = None) -> RunResult:
         """Simulate until every core finishes (or a bound is hit).
 
         ``wall_budget_s`` arms a wall-clock budget for the run; when it
@@ -147,51 +145,56 @@ class System:
         a sweep can record the cell as failed and keep going instead of
         hanging the whole grid on one pathological point.
 
-        ``lockstep`` asks for one loop that advances every domain in
-        global time order.  This loop always does; the fast driver may
-        otherwise run an unobserved Fixed Service system one domain at a
-        time (see :class:`repro.sim.fastpath.FastSystem`).
-
-        ``victim`` names the one core whose view the caller reads: the
-        run also ends at the first stop where core ``victim`` is done
-        and the clock has reached its
-        :meth:`~repro.cpu.core_model.Core.finish_mem_cycle`.  From
-        there on nothing can move that core's completions, retirement
-        checkpoints or IPC, so only core ``victim``'s ``CoreResult`` and
-        completions are the full run's; the cycle count, the other
-        cores' results, the stats and the energy are the shorter run's.
-        An index outside the cores raises ``ValueError``.
-
-        The run drains the loop that :meth:`steps` pauses (it never
-        pauses here) and ends with :meth:`finish`.
+        On the fast engine (:attr:`per_domain`), a system that
+        :func:`repro.sim.perdomain.ready` accepts runs one domain at a
+        time; any other run drains the lockstep loop of :meth:`steps`.
+        Either way it ends with :meth:`finish`.
         """
-        del lockstep  # always lockstep
         started = time.monotonic()
         deadline = (
             started + wall_budget_s if wall_budget_s is not None else None
         )
-        clock = drain(self._loop(max_cycles, target_reads, deadline,
-                                 wall_budget_s, victim))
+        if self.per_domain and perdomain.ready(self):
+            clock = perdomain.run(self, max_cycles, deadline,
+                                  wall_budget_s)
+        else:
+            clock = drain(self._loop(max_cycles, None, deadline,
+                                     wall_budget_s))
         return self.finish(clock, started)
 
     def steps(self, max_cycles: int = 10_000_000, *,
-              victim: int) -> Generator[int, None, int]:
-        """The lockstep loop of :meth:`run`, paused at each of core
-        ``victim``'s read releases.
+              victim: Optional[int] = None) -> Generator[int, None, int]:
+        """The engine's lockstep loop, every domain in global time
+        order, paused at each of core ``victim``'s read releases.
 
         Each ``next()`` runs the loop to core ``victim``'s next
         release and yields its cycle.  The loop pauses right after the
         core's ``on_complete`` for that read, before the core is pumped
-        again; the generator returns the final clock (``StopIteration``
-        carries it) when the run ends as :meth:`run` would end it.  A
-        paused run may be dropped: :meth:`finish` at the last yielded
+        again.  It also ends at the first stop where core ``victim`` is
+        done and the clock has reached its
+        :meth:`~repro.cpu.core_model.Core.finish_mem_cycle`: from there
+        on nothing can move that core's completions, retirement
+        checkpoints or IPC, so only its ``CoreResult`` and completions
+        are the full run's; the cycle count, the other cores' results,
+        the stats and the energy are the shorter run's.  With no
+        ``victim`` the loop never pauses and ends where a lockstep run
+        ends.  The generator returns the final clock
+        (``StopIteration`` carries it; :func:`drain` takes it).
+
+        A paused run may be dropped: :meth:`finish` at the last yielded
         cycle ends it there, with the cycle count, the run span and
         every core's result taken at that cycle, and the stats and the
         energy those of the controller as it stood, which may have
         worked past it.  Both engines pause at the same releases, with
-        every core in the same state.
+        every core in the same state.  An index outside the cores
+        raises ``ValueError`` here, before the loop starts.
         """
-        return self._loop(max_cycles, None, None, None, victim)
+        if victim is not None and not 0 <= victim < len(self.cores):
+            raise ValueError(
+                f"victim {victim} is not a core index "
+                f"(0..{len(self.cores) - 1})"
+            )
+        return self._loop(max_cycles, victim)
 
     def finish(self, clock: int, started: float) -> RunResult:
         """End a run at ``clock``: settle the controller, record the
@@ -209,16 +212,15 @@ class System:
             )
         return self._collect(clock)
 
-    def _loop(self, max_cycles: int, target_reads: Optional[int],
-              deadline: Optional[float], wall_budget_s: Optional[float],
-              victim: Optional[int]) -> Generator[int, None, int]:
-        """The reference lockstep loop (see :meth:`run` and
-        :meth:`steps`); yields core ``victim``'s release cycles and
-        returns the final clock."""
-        victim_core = self._victim_core(victim)
+    def _loop(self, max_cycles: int, victim: Optional[int],
+              deadline: Optional[float] = None,
+              wall_budget_s: Optional[float] = None
+              ) -> Generator[int, None, int]:
+        """The reference lockstep loop (see :meth:`steps`); yields core
+        ``victim``'s release cycles and returns the final clock."""
+        victim_core = None if victim is None else self.cores[victim]
         controller = self.controller
         clock = 0
-        reads_done = 0
         iterations = 0
         for i in range(len(self.cores)):
             self._pump(i)
@@ -229,8 +231,6 @@ class System:
                 raise self._timed_out(wall_budget_s, clock)
             iterations += 1
             if all(core.done for core in self.cores):
-                break
-            if target_reads is not None and reads_done >= target_reads:
                 break
             if clock >= max_cycles:
                 break
@@ -267,24 +267,12 @@ class System:
                 core = request.core_tag
                 if isinstance(core, Core):
                     core.on_complete(request, request.release)
-                    reads_done += 1
                     if core is victim_core:
                         yield request.release
                     self._pump(self._core_index[id(core)])
         return clock
 
     # ------------------------------------------------------------------
-
-    def _victim_core(self, victim: Optional[int]) -> Optional[Core]:
-        """The core ``run(victim=...)`` names, checked (None for None)."""
-        if victim is None:
-            return None
-        if not 0 <= victim < len(self.cores):
-            raise ValueError(
-                f"victim {victim} is not a core index "
-                f"(0..{len(self.cores) - 1})"
-            )
-        return self.cores[victim]
 
     def _timed_out(self, wall_budget_s: float,
                    clock: int) -> SimTimeoutError:

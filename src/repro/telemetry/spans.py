@@ -239,7 +239,7 @@ class SpanTracer:
     ) -> None:
         """One engine run's span slice: run → phases → epochs.
 
-        Called once per ``System.run`` / ``FastSystem.run`` completion;
+        Called by ``System.finish`` once per run, stepped or not;
         every value is a pure function of the (engine-identical) final
         clock, so the two engines emit byte-identical records for the
         same simulation.  Wall time rides along under the volatile

@@ -8,6 +8,8 @@ configuration under both engines and assert that claim field by field.
 
 Used by ``tests/test_differential.py`` (scheme/option matrix) and
 ``tests/test_fastpath_faults.py`` (fault-model matrix).
+:func:`lockstep_run` serves the suites that need a system's lockstep
+loop where ``System.run`` might take the per-domain driver.
 
 Both suites run their FS cases in two modes.  With the command log on
 (the default) the fast FS controllers issue every command through
@@ -23,14 +25,25 @@ each rank's energy counters and each channel's command/data counters.
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Dict, Optional, Tuple
 
 from repro.sim.config import SystemConfig
 from repro.sim.runner import SchemeOptions, build_system
+from repro.sim.system import RunResult, System, drain
 from repro.workloads.spec import suite_specs
 
 #: Generous per-run bound; every differential case finishes far below it.
 MAX_CYCLES = 6_000_000
+
+
+def lockstep_run(system: System, max_cycles: int = 10_000_000,
+                 victim: Optional[int] = None) -> RunResult:
+    """Run ``system`` through its engine's lockstep loop:
+    ``System.steps`` drained, then ``System.finish``."""
+    started = time.monotonic()
+    clock = drain(system.steps(max_cycles, victim=victim))
+    return system.finish(clock, started)
 
 
 def run_both(

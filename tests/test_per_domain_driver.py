@@ -7,7 +7,7 @@ the shared FS code is non-interfering: a domain's slot decisions read
 its own queue, hazards, dummy stream, prefetcher and fault predicates,
 and nothing of its co-runners.  The property test checks it on random
 co-runners: every observable of a per-domain run equals the same run
-through the lockstep loop (``System.run(lockstep=True)``), with back-
+through the lockstep loop (``System.steps`` drained), with back-
 pressure, refresh, the energy options and composed fault plans.
 
 The fixed cases pin the cut-offs (``max_cycles``, the wall budget) and
@@ -42,7 +42,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.runner import SchemeOptions, build_system
 from repro.workloads.spec import MIXES, SPEC2K6, suite_specs
 
-from .engine_equivalence import MAX_CYCLES, dram_counters
+from .engine_equivalence import MAX_CYCLES, dram_counters, lockstep_run
 from .leaky_scheme import LEAKY_DUMMY_SPEC
 
 _WIDE = settings.get_profile("wide")
@@ -119,7 +119,8 @@ def _both(build, max_cycles=MAX_CYCLES):
     for lockstep in (True, False):
         system = build()
         calls = _counted(system)
-        result = system.run(max_cycles=max_cycles, lockstep=lockstep)
+        result = lockstep_run(system, max_cycles) if lockstep \
+            else system.run(max_cycles=max_cycles)
         out[lockstep] = (_observables(system, result), calls)
     return out
 

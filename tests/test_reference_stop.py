@@ -51,6 +51,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.runner import SchemeOptions, build_system
 from repro.telemetry import scrub_volatile_args
 
+from .engine_equivalence import lockstep_run
 from .leaky_scheme import LEAKY_DUMMY_SPEC, LEAKY_SPEC
 
 _WIDE = settings.get_profile("wide")
@@ -322,7 +323,7 @@ def test_both_engines_pause_after_the_completion_before_the_pump(scheme):
         on_complete(request, mem_cycle)
 
     full.cores[0].on_complete = hook
-    full.run(lockstep=True)
+    lockstep_run(full)
     assert [p[0] for p in pauses["fast"]] == releases
 
 

@@ -185,9 +185,9 @@ class TestSpecValidation:
         assert spec_fields() == (
             "name", "description", "family", "partitioning",
             "controller", "fast_controller", "sharing", "expected_l",
-            "expected_q", "multi_channel", "reorder_window",
-            "supports_refresh", "supports_prefetch", "secure",
-            "fixed_service", "certifiable",
+            "expected_q", "multi_channel", "supports_refresh",
+            "supports_prefetch", "secure", "fixed_service",
+            "certifiable",
         )
 
 
@@ -235,7 +235,6 @@ class TestTable2Classification:
             assert spec.expected_l == l, name
             assert spec.expected_q == q, name
         assert REGISTRY.get("fs_reordered_bp").expected_q == 63
-        assert REGISTRY.get("fs_reordered_bp").reorder_window == 63
 
     def test_validate_for_scheme_uses_registry(self, scratch):
         tight = SystemConfig(num_cores=4)  # 1 channel x 8 ranks

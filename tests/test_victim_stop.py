@@ -1,30 +1,28 @@
 """A run that ends at the victim's last retirement shows the victim
 everything the full run shows it.
 
-``System.run(victim=i)`` also ends at the first stop where core ``i``
-is done and the clock has reached its ``finish_mem_cycle()``, and so
-does ``System.steps(victim=i)``, which ``victim_view`` steps with
-``victim=0``.  That is exact by causality, not
-by non-interference: the stopped run's stops are a prefix of the full
-run's, and after core ``i``'s last release and last retirement nothing
-can move its release cycles, its completion profile or its IPC.  So it
-holds for leaky schemes too, and the property test draws the planted
-leaks of ``tests/leaky_scheme.py`` beside every certifiable built-in.
+``System.steps(victim=i)`` ends its lockstep loop at the first stop
+where core ``i`` is done and the clock has reached its
+``finish_mem_cycle()``; ``victim_view`` steps it with ``victim=0``.
+That is exact by causality, not by non-interference: the stopped run's
+stops are a prefix of the full run's, and after core ``i``'s last
+release and last retirement nothing can move its release cycles, its
+completion profile or its IPC.  So it holds for leaky schemes too, and
+the property test draws the planted leaks of ``tests/leaky_scheme.py``
+beside every certifiable built-in.
 
 The property test compares both worlds' whole ``VictimView`` with the
-view of the same run taken to its full end (``System.run`` with no
+view of the same run taken to its full end (the lockstep loop with no
 ``victim``, the attacker's releases recorded by a completion hook), on
 both engines, for a strategy of every family.
 The fixed cases pin where a stopped run ends, the contract tests pin
-``System.run(victim=...)`` itself, and the last case pins that
+``System.steps(victim=...)`` itself, and the last case pins that
 ``VictimView.ipc`` is measured at the victim's own last retirement.
 
 ``conftest.py`` registers the ``wide`` hypothesis profile;
 ``--hypothesis-profile=wide`` runs the property test on a larger,
 random example budget instead of tier-1's small derandomized one.
 """
-
-import collections
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, \
@@ -39,6 +37,7 @@ from repro.sim.runner import SchemeOptions, build_system
 from repro.workloads.spec import workload
 from repro.workloads.synthetic import idle_spec, intense_spec
 
+from .engine_equivalence import lockstep_run
 from .leaky_scheme import LEAKY_DUMMY_SPEC, LEAKY_SPEC
 
 _WIDE = settings.get_profile("wide")
@@ -66,10 +65,10 @@ def _leaky_specs_registered():
 
 
 def _full_view(scheme, attacker, co_runner, config, options, engine):
-    """The attacker's view of the same run taken to its full end:
-    ``System.run(lockstep=True)`` with no ``victim``, the attacker's
-    releases recorded by a completion hook, and the view's fields taken
-    as ``victim_view`` takes them."""
+    """The attacker's view of the same run taken to its full end: the
+    lockstep loop with no ``victim``, the attacker's releases recorded
+    by a completion hook, and the view's fields taken as
+    ``victim_view`` takes them."""
     specs = [attacker] + [co_runner] * (config.num_cores - 1)
     system = build_system(scheme, config, specs, options, engine=engine)
     core = system.cores[0]
@@ -81,7 +80,7 @@ def _full_view(scheme, attacker, co_runner, config, options, engine):
         on_complete(request, mem_cycle)
 
     core.on_complete = recording
-    result = system.run(max_cycles=2_000_000, lockstep=True)
+    result = lockstep_run(system, 2_000_000)
     finish = core.finish_mem_cycle()
     return VictimView(
         scheme=scheme,
@@ -161,8 +160,7 @@ def _astar_against(co_runner, engine, victim, max_cycles=2_000_000):
         on_complete(request, mem_cycle)
 
     core.on_complete = recording
-    result = system.run(max_cycles=max_cycles, lockstep=True,
-                        victim=victim)
+    result = lockstep_run(system, max_cycles, victim)
     return result, core, releases
 
 
@@ -204,7 +202,7 @@ def test_max_cycles_before_the_attacker_is_done_cuts_where_it_did(
 
 
 # ---------------------------------------------------------------------
-# The ``System.run(victim=...)`` contract.
+# The ``System.steps(victim=...)`` contract.
 # ---------------------------------------------------------------------
 
 
@@ -222,38 +220,19 @@ def _build(scheme, engine, victim_index=0):
                                     "fs_rp_mc", "fs_reordered_bp"])
 @pytest.mark.parametrize("victim", [0, 2])
 def test_the_victims_core_result_is_the_full_runs(scheme, engine, victim):
-    full = _build(scheme, engine, victim).run(lockstep=True)
-    stopped = _build(scheme, engine, victim).run(lockstep=True,
-                                                 victim=victim)
+    full = lockstep_run(_build(scheme, engine, victim))
+    stopped = lockstep_run(_build(scheme, engine, victim), victim=victim)
     assert stopped.cycles < full.cycles
     assert stopped.cores[victim] == full.cores[victim]
-
-
-def test_a_per_domain_run_ignores_the_victim():
-    results = []
-    for victim in (None, 1):
-        system = _build("fs_rp", "fast", victim_index=1)
-        calls = collections.Counter()
-        advance = system.controller.advance
-
-        def counted(until, _advance=advance):
-            calls["advance"] += 1
-            return _advance(until)
-
-        system.controller.advance = counted
-        results.append(system.run(victim=victim))
-        assert calls["advance"] == 0, "fell back to the strides"
-    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("victim", [-1, 4])
 def test_a_victim_outside_the_cores_is_refused(engine, victim):
+    """Refused by ``steps`` itself, before the loop is stepped."""
     system = _build("fs_rp", engine)
     with pytest.raises(ValueError, match="not a core index"):
-        system.run(victim=victim)
-    with pytest.raises(ValueError, match="not a core index"):
-        system.run(target_reads=10, victim=victim)
+        system.steps(victim=victim)
 
 
 # ---------------------------------------------------------------------
