@@ -5,10 +5,12 @@ co-runner behaviours; this module tries *all of them* over a bounded
 horizon — a model-checking-style argument.  The co-runner's behaviour
 space is every sequence over {idle, read, write} at its decision points;
 for each sequence we run the scheduler open-loop and record everything
-the victim can observe.  Non-interference holds iff all observations are
-identical.
+the victim can observe.  Every pattern runs, and the report counts the
+victim's distinct observations: k of them leak log2 k bits of the
+co-runner's pattern (:func:`~repro.analysis.leakage.count_views`).
+Non-interference holds iff k is 1.
 
-The state space is 3^k for k decision points, so keep k small (the
+The state space is 3^j for j decision points, so keep j small (the
 default 4 gives 81 complete system runs); the value of the check is that
 within the horizon it is *complete* — no adversarial co-runner strategy,
 however contrived, is missed.
@@ -24,6 +26,7 @@ from ..dram.commands import OpType, Request
 from ..sim.config import SystemConfig
 from ..sim.openloop import drive_open_loop
 from ..sim.runner import SchemeOptions, build_controller, partition_for
+from .leakage import count_views
 
 #: One co-runner action at a decision point.
 ACTIONS = ("idle", "read", "write")
@@ -36,13 +39,17 @@ class ExhaustiveReport:
     scheme: str
     decision_points: int
     patterns_checked: int
-    identical: bool
-    #: A co-runner action sequence that perturbed the victim, if any.
+    #: Distinct victim observations over every pattern (k).
+    distinct_views: int
+    #: Leakage of the co-runner's pattern, log2 k.
+    bits: float
+    #: The first co-runner action sequence whose victim view differs
+    #: from the first sequence's, if any.
     counterexample: Optional[Tuple[str, ...]] = None
 
     @property
     def holds(self) -> bool:
-        return self.identical
+        return self.distinct_views == 1
 
 
 def exhaustive_noninterference(
@@ -58,34 +65,31 @@ def exhaustive_noninterference(
     The victim (domain 0) issues a fixed stream of ``victim_reads``
     reads; the co-runner (domain 1) takes one action from ``actions`` at
     each of ``decision_points`` points spaced ``decision_period`` cycles
-    apart.  Returns whether the victim's release times were identical
-    across all ``len(actions) ** decision_points`` runs.
+    apart.  Runs all ``len(actions) ** decision_points`` patterns and
+    counts the distinct tuples of victim release times among them.
     """
     if decision_points < 1:
         raise ValueError("need at least one decision point")
     config = config or SystemConfig()
-    reference: Optional[Tuple[int, ...]] = None
-    patterns = 0
-    for pattern in itertools.product(actions, repeat=decision_points):
-        observation = _run_pattern(
-            scheme, pattern, decision_period, victim_reads, config
-        )
-        patterns += 1
-        if reference is None:
-            reference = observation
-        elif observation != reference:
-            return ExhaustiveReport(
-                scheme=scheme,
-                decision_points=decision_points,
-                patterns_checked=patterns,
-                identical=False,
-                counterexample=pattern,
-            )
+    patterns = list(itertools.product(actions, repeat=decision_points))
+    observations = [
+        _run_pattern(scheme, pattern, decision_period, victim_reads,
+                     config)
+        for pattern in patterns
+    ]
+    distinct, bits = count_views(observations)
+    counterexample = next(
+        (pattern for pattern, observation in zip(patterns, observations)
+         if observation != observations[0]),
+        None,
+    )
     return ExhaustiveReport(
         scheme=scheme,
         decision_points=decision_points,
-        patterns_checked=patterns,
-        identical=True,
+        patterns_checked=len(patterns),
+        distinct_views=distinct,
+        bits=bits,
+        counterexample=counterexample,
     )
 
 

@@ -9,16 +9,21 @@ operationally:
   execution profile (time to retire each instruction block) and the
   release time of each of its reads.
 * :func:`interference_report` runs the same victim against *different*
-  co-runners and diffs the observations.  For FS schemes the views must
-  be bit-for-bit identical; for the non-secure baseline they diverge,
-  which is exactly the Figure 4 plot.
+  co-runners and counts the distinct views.  For FS schemes there is
+  one; for the non-secure baseline they diverge, which is exactly the
+  Figure 4 plot.
+
+Each co-runner world of the deterministic simulator gives the victim
+one observation, so k distinct ones leak exactly log2 k bits
+(:func:`count_views`).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.config import SystemConfig
 from ..sim.runner import SchemeOptions, build_system
@@ -48,6 +53,13 @@ class VictimView:
     #: Release cycle at which a stepped run stopped; None for a full
     #: view.
     stopped_at: Optional[int] = None
+
+    @property
+    def observation(self) -> Tuple:
+        """Everything the victim can see of its own run, as one
+        hashable value: the block-completion profile and every read's
+        release cycle."""
+        return (self.profile, self.read_releases)
 
 
 class VictimWorld:
@@ -213,20 +225,38 @@ def victim_view(
     return world.view
 
 
+def count_views(observations: Iterable[Hashable]) -> Tuple[int, float]:
+    """The number k of distinct ``observations``, one per co-runner
+    world, and the bits they leak: log2 k, the min-capacity of the
+    channel over those worlds (Smith 2009), 0.0 for one view."""
+    k = len(set(observations))
+    if k == 0:
+        raise ValueError("need at least one observation")
+    return k, math.log2(k)
+
+
 @dataclass(frozen=True)
 class InterferenceReport:
     """Comparison of victim views under different co-runners."""
 
     scheme: str
     views: Tuple[VictimView, ...]
-    identical: bool
+    #: Distinct victim observations among ``views`` (k).
+    distinct_views: int
+    #: Leakage over the co-runners, log2 k.
+    bits: float
     max_profile_divergence_cycles: int
     max_release_divergence_cycles: int
 
     @property
+    def identical(self) -> bool:
+        """True when every co-runner left the victim the same view."""
+        return self.distinct_views == 1
+
+    @property
     def leaks(self) -> bool:
         """True when the co-runners measurably altered the victim."""
-        return not self.identical
+        return self.distinct_views > 1
 
 
 def interference_report(
@@ -237,7 +267,8 @@ def interference_report(
     options: Optional[SchemeOptions] = None,
     engine: str = "reference",
 ) -> InterferenceReport:
-    """Run the victim against each co-runner and diff the views.
+    """Run the victim against each co-runner, count the distinct views
+    and measure how far each view strays from the first co-runner's.
 
     Default co-runners are the Figure 4 pair: non-memory-intensive and
     maximally memory-intensive synthetic threads.
@@ -250,24 +281,21 @@ def interference_report(
         victim_view(scheme, victim, co, config, options, engine=engine)
         for co in co_runners
     )
+    distinct, bits = count_views(view.observation for view in views)
     reference = views[0]
     max_profile = 0
     max_release = 0
-    identical = True
     for view in views[1:]:
-        if view.profile != reference.profile:
-            identical = False
-            for (n1, t1), (n2, t2) in zip(reference.profile, view.profile):
-                if n1 == n2:
-                    max_profile = max(max_profile, abs(t1 - t2))
-        if view.read_releases != reference.read_releases:
-            identical = False
-            for r1, r2 in zip(reference.read_releases, view.read_releases):
-                max_release = max(max_release, abs(r1 - r2))
+        for (n1, t1), (n2, t2) in zip(reference.profile, view.profile):
+            if n1 == n2:
+                max_profile = max(max_profile, abs(t1 - t2))
+        for r1, r2 in zip(reference.read_releases, view.read_releases):
+            max_release = max(max_release, abs(r1 - r2))
     return InterferenceReport(
         scheme=scheme,
         views=views,
-        identical=identical,
+        distinct_views=distinct,
+        bits=bits,
         max_profile_divergence_cycles=max_profile,
         max_release_divergence_cycles=max_release,
     )

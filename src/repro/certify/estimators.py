@@ -42,9 +42,28 @@ import random
 from collections import Counter
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from ..analysis.mutual_information import mutual_information_bits
-
 Sample = Tuple[int, Hashable]
+
+
+def mutual_information_bits(samples: Sequence[Sample]) -> float:
+    """Plug-in MI estimate from (secret, observation) samples.
+
+    ``I(S;O) = H(S) + H(O) - H(S,O)`` with empirical distributions.
+    Observations must be hashable.
+    """
+    if not samples:
+        raise ValueError("need samples")
+    n = len(samples)
+
+    def entropy(counter: Counter) -> float:
+        return -sum(
+            (c / n) * math.log2(c / n) for c in counter.values()
+        )
+
+    h_s = entropy(Counter(s for s, _ in samples))
+    h_o = entropy(Counter(o for _, o in samples))
+    h_so = entropy(Counter(samples))
+    return max(0.0, h_s + h_o - h_so)
 
 
 def support_sizes(samples: Sequence[Sample]) -> Tuple[int, int]:

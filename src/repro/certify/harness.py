@@ -160,12 +160,6 @@ class Certificate:
         }
 
 
-def _observation(view) -> Tuple:
-    """Everything the attacker can see of its own run, as one hashable
-    value: the block-completion profile and every read's release cycle."""
-    return (view.profile, view.read_releases)
-
-
 def two_world_samples(
     scheme: str,
     strategy: AttackerStrategy,
@@ -184,7 +178,8 @@ def two_world_samples(
     release (see :func:`~repro.analysis.leakage.victim_view` with a
     ``reference``), and stops both at the first index where the
     attacker's releases differ, or where one world has ended and the
-    other releases again.  The observation is ``(profile,
+    other releases again.  The observation is the view's
+    :attr:`~repro.analysis.leakage.VictimView.observation`, ``(profile,
     read_releases)``, so such worlds differ whatever the rest of their
     runs do: the within-trial ids of
     :func:`~repro.certify.estimators.canonicalize_by_trial`, and every
@@ -225,7 +220,7 @@ def two_world_samples(
             config=trial_config, options=options, max_cycles=max_cycles,
             engine=engine, reference=world0,
         )
-        observations = (_observation(world0.view), _observation(view1))
+        observations = (world0.view.observation, view1.observation)
         for secret, observation in enumerate(observations):
             raw.append((trial, secret, observation))
         if trial_span is not None:

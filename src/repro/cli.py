@@ -363,6 +363,8 @@ def cmd_audit(args) -> int:
         args.scheme, workload(args.workload), config=config
     )
     print(f"scheme {args.scheme}, victim {args.workload}:")
+    print(f"  {report.distinct_views} distinct victim views over "
+          f"{len(report.views)} co-runners: {report.bits:.3f} bits")
     if report.identical:
         print("  NON-INTERFERING: victim timing is bit-for-bit "
               "identical under co-runner variation")

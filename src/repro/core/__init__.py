@@ -31,7 +31,6 @@ from .pipeline_solver import (
 from .sla import bandwidth_share, build_sla_schedule, weighted_slot_order
 from .invariants import (
     InvariantViolation,
-    assert_non_interference,
     check_constant_service,
     check_schedule_conformance,
 )
@@ -62,8 +61,8 @@ __all__ = [
     "PeriodicMode", "PipelineSolver", "SharingLevel",
     "paper_solutions", "slot_timing",
     "bandwidth_share", "build_sla_schedule", "weighted_slot_order",
-    "InvariantViolation", "assert_non_interference",
-    "check_constant_service", "check_schedule_conformance",
+    "InvariantViolation", "check_constant_service",
+    "check_schedule_conformance",
     "CommandTimes", "FixedServiceSchedule", "ReorderedBpGeometry",
     "SlotSpec", "build_fs_schedule", "build_reordered_bp_geometry",
     "build_triple_alternation_schedule", "schedule_commands",

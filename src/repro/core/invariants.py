@@ -13,19 +13,18 @@ offline functions replay a finished run's ``service_trace`` through:
 * :func:`check_constant_service` — each domain's service count per
   interval is exactly its slot share (demand + prefetch + dummy +
   bubble always fills the timetable).
-* :func:`assert_non_interference` — convenience wrapper that re-runs a
-  victim under several co-runners and raises with a readable diff if
-  anything the victim can observe changed.
 
 These are used by the test-suite and can be applied to any controller
-run with ``service_trace`` recording (always on).
+run with ``service_trace`` recording (always on).  Whether a victim's
+view depends on its co-runners is measured one layer up, by the count
+of distinct views in :mod:`repro.analysis.leakage`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .schedule import FixedServiceSchedule
 
@@ -146,42 +145,3 @@ def check_constant_service(
     """Each domain's event count must equal elapsed intervals x its
     slot share (the 'constant injection rate' shape property)."""
     return _replay(schedule, service_trace, tolerance_intervals)[1]
-
-
-def assert_non_interference(
-    scheme: str,
-    victim,
-    co_runners: Optional[Sequence] = None,
-    config=None,
-    options=None,
-) -> None:
-    """Raise AssertionError with a diff summary if the victim's view
-    changes under any co-runner (thin wrapper over
-    :func:`repro.analysis.leakage.interference_report`).
-
-    ``options`` rides through to the runner, so the property can be
-    asserted under non-default knobs — notably with a
-    :class:`~repro.faults.FaultPlan` armed, which is how the test-suite
-    proves fault recovery itself is leakage-free.
-    """
-    from ..analysis.leakage import interference_report
-
-    report = interference_report(
-        scheme, victim, co_runners, config, options
-    )
-    if report.identical:
-        return
-    lines = [f"{scheme} leaks information to domain 0:"]
-    lines.append(
-        f"  max profile divergence: "
-        f"{report.max_profile_divergence_cycles} cycles"
-    )
-    lines.append(
-        f"  max read-release divergence: "
-        f"{report.max_release_divergence_cycles} cycles"
-    )
-    for view in report.views:
-        lines.append(
-            f"  co-runner {view.co_runner}: ipc {view.ipc:.4f}"
-        )
-    raise AssertionError("\n".join(lines))

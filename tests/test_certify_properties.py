@@ -31,7 +31,7 @@ from repro.certify import (
     miller_madow_bias_bits,
     support_sizes,
 )
-from repro.analysis.mutual_information import mutual_information_bits
+from repro.certify.estimators import mutual_information_bits
 
 #: The CLI's default certification tolerance.
 EPSILON = 0.01

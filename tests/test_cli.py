@@ -46,14 +46,20 @@ class TestCommands:
             "audit", "fs_rp", "--workload", "xalancbmk",
             "--accesses", "80",
         ]) == 0
-        assert "NON-INTERFERING" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert ("1 distinct victim views over 2 co-runners: 0.000 bits"
+                in out)
+        assert "NON-INTERFERING" in out
 
     def test_audit_baseline_fails(self, capsys):
         assert main([
             "audit", "baseline", "--workload", "mcf",
             "--accesses", "200",
         ]) == 1
-        assert "LEAKS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert ("2 distinct victim views over 2 co-runners: 1.000 bits"
+                in out)
+        assert "LEAKS" in out
 
     def test_covert_fs(self, capsys):
         assert main(["covert", "fs_rp", "--accesses", "80"]) == 0

@@ -25,7 +25,6 @@ import pytest
 
 from repro.core.invariants import (
     InvariantViolation,
-    assert_non_interference,
     check_constant_service,
     check_schedule_conformance,
 )
@@ -304,17 +303,6 @@ class TestNonInterferenceUnderFaults:
             "fault injection opened a timing channel: "
             f"profile divergence "
             f"{report.max_profile_divergence_cycles} cycles"
-        )
-
-    def test_assert_non_interference_under_faults(self):
-        assert_non_interference(
-            "fs_rp", workload("mcf"), config=small_config(accesses=80),
-            options=SchemeOptions(faults=FULL_CAMPAIGN),
-        )
-
-    def test_assert_non_interference_without_faults_still_passes(self):
-        assert_non_interference(
-            "fs_rp", workload("mcf"), config=small_config(accesses=80)
         )
 
 

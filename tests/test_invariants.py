@@ -1,9 +1,6 @@
 """Tests for the runtime FS security invariants."""
 
-import pytest
-
 from repro.core.invariants import (
-    assert_non_interference,
     check_constant_service,
     check_schedule_conformance,
 )
@@ -13,7 +10,7 @@ from repro.core.schedule import build_fs_schedule
 from repro.dram.timing import DDR3_1600_X4
 from repro.sim.config import SystemConfig
 from repro.sim.runner import build_system
-from repro.workloads.spec import suite_specs, workload
+from repro.workloads.spec import suite_specs
 
 P = DDR3_1600_X4
 CFG = SystemConfig(accesses_per_core=250)
@@ -113,17 +110,3 @@ class TestConstantService:
         ) == []
         assert offline_and_live(schedule, {d: [] for d in range(4)}) == ([], [])
 
-
-class TestAssertNonInterference:
-    def test_passes_for_fs(self):
-        assert_non_interference(
-            "fs_rp", workload("xalancbmk"),
-            config=SystemConfig(accesses_per_core=120),
-        )
-
-    def test_raises_for_baseline(self):
-        with pytest.raises(AssertionError, match="leaks"):
-            assert_non_interference(
-                "baseline", workload("mcf"),
-                config=SystemConfig(accesses_per_core=200),
-            )
